@@ -3,12 +3,14 @@
 #   make ci         - the full pre-merge smoke check: vet, staticcheck (when
 #                     reachable), build, race-enabled tests (incl. the
 #                     federation fault-tolerance suite and the simulator
-#                     invariant harness), one iteration of each perf
+#                     invariant harness), the determinism goldens at
+#                     -cpu 1,2,4, one iteration of each perf
 #                     microbenchmark, a 20-VM cluster-scale smoke, a
 #                     /metrics endpoint smoke test, and a 16-client
 #                     async-federation chaos smoke
 #   make test       - plain test suite (tier-1 gate)
 #   make test-race  - federation layers + simulator invariants, race-enabled
+#   make golden     - bit-identity goldens at GOMAXPROCS 1, 2 and 4
 #   make fuzz-smoke - a short run of every fuzz target
 #   make bench      - full benchmark runs with allocation reporting
 #   make perf       - the CLI perf experiment, writing BENCH_<name>.json
@@ -17,9 +19,9 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race fuzz-smoke bench bench-env bench-update bench-agg perf scale scale-smoke metrics-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race golden fuzz-smoke bench bench-env bench-update bench-agg perf scale scale-smoke metrics-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race bench-smoke bench-env bench-update bench-agg scale-smoke metrics-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race golden bench-smoke bench-env bench-update bench-agg scale-smoke metrics-smoke swarm-smoke spec-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,12 +59,18 @@ race:
 
 # The federation layers carry the concurrency-heavy fault-tolerance tests
 # (round deadlines, retries, rejoin) and the shared round engine behind both
-# paths; internal/rl carries the concurrent actor/critic update pipeline and
-# its batched-vs-sequential golden tests; internal/cloudsim carries the
-# simulator invariant harness (randomized episodes at 20 and 500 VMs). Run
-# all of them race-enabled on every merge.
+# paths; internal/rl carries concurrent client agents on one shared tensor
+# pool and its batched-vs-sequential golden tests; internal/cloudsim carries
+# the simulator invariant harness (randomized episodes at 20 and 500 VMs).
+# Run all of them race-enabled on every merge.
 test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
+
+# The bit-identity and determinism goldens at several core counts: results
+# must not depend on GOMAXPROCS.
+golden:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Golden|BitIdentical|Equivalence|MatchesReference|Determinism' \
+		./internal/core ./internal/fed ./internal/fedcore ./internal/rl
 
 # Short deterministic-budget run of every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one run per target).

@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// The federation data-plane benchmark: pooled parallel aggregation and the
+// The federation data-plane benchmark: pooled aggregation and the
 // quantized wire codec at the public-critic payload width.
 const (
 	fedAggDim = 34561
@@ -19,7 +19,7 @@ const (
 	// Frozen ns/op of the seed-era sequential FedAvg data plane (allocating
 	// meanPayload plus K personalized copies) at fedAggDim, measured on the
 	// reference CI machine (Intel Xeon 2.10 GHz) before the pooled
-	// tree-reduce rewrite. Kept so BENCH_FedAggregate.json pins the speedup.
+	// aggregation rewrite. Kept so BENCH_FedAggregate.json pins the speedup.
 	fedAggBaselineK8   = 546045.0
 	fedAggBaselineK64  = 6986055.0
 	fedAggBaselineK256 = 30572198.0
@@ -42,7 +42,6 @@ func fedAggBaseline(k int) float64 {
 // its per-round allocations and copies.
 type fedAggEntry struct {
 	K               int     `json:"k"`
-	Workers         int     `json:"workers"`
 	Iterations      int     `json:"iterations"`
 	NsPerOp         float64 `json:"ns_per_op"`
 	AllocsPerOp     int64   `json:"allocs_per_op"`
@@ -152,29 +151,23 @@ func runFedAggregate(bc benchConfig) error {
 	res := fedAggResult{Name: "FedAggregate", Dim: fedAggDim}
 
 	fmt.Printf("\nfederated aggregation (pooled FedAvg fast path, dim %d):\n", fedAggDim)
-	t := trace.NewTable("K", "workers", "iters", "ns/op", "allocs/op", "baseline ns/op", "speedup")
+	t := trace.NewTable("K", "iters", "ns/op", "allocs/op", "baseline ns/op", "speedup")
 	for _, k := range []int{8, 64, 256} {
-		uploads := fedAggUploads(k)
-		for _, workers := range []int{1, 2, 4} {
-			prev := fedcore.SetAggWorkers(workers)
-			r := testing.Benchmark(benchFedAggOnly(uploads))
-			fedcore.SetAggWorkers(prev)
-			e := fedAggEntry{
-				K:          k,
-				Workers:    workers,
-				Iterations: r.N,
-				NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
-			}
-			e.AllocsPerOp = r.AllocsPerOp()
-			speedup := "-"
-			if base := fedAggBaseline(k); base > 0 && e.NsPerOp > 0 {
-				e.BaselineNsPerOp = base
-				e.Speedup = base / e.NsPerOp
-				speedup = fmt.Sprintf("%.2fx", e.Speedup)
-			}
-			res.Aggregate = append(res.Aggregate, e)
-			t.AddRow(e.K, e.Workers, e.Iterations, e.NsPerOp, e.AllocsPerOp, e.BaselineNsPerOp, speedup)
+		r := testing.Benchmark(benchFedAggOnly(fedAggUploads(k)))
+		e := fedAggEntry{
+			K:           k,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
 		}
+		speedup := "-"
+		if base := fedAggBaseline(k); base > 0 && e.NsPerOp > 0 {
+			e.BaselineNsPerOp = base
+			e.Speedup = base / e.NsPerOp
+			speedup = fmt.Sprintf("%.2fx", e.Speedup)
+		}
+		res.Aggregate = append(res.Aggregate, e)
+		t.AddRow(e.K, e.Iterations, e.NsPerOp, e.AllocsPerOp, e.BaselineNsPerOp, speedup)
 	}
 	fmt.Print(t.String())
 

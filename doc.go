@@ -15,7 +15,7 @@
 //
 // Architecture (bottom-up):
 //
-//	internal/tensor    dense float64 matrices, goroutine-tiled matmul
+//	internal/tensor    dense float64 matrices, cache-blocked SIMD matmul
 //	internal/autograd  tape-based reverse-mode autodiff
 //	internal/nn        MLPs, Adam/SGD, categorical policies, flat params
 //	internal/attn      multi-head attention / KL / cosine weight generators

@@ -252,10 +252,6 @@ type ExperimentConfig struct {
 	// lossless identity tier, which reproduces uncompressed runs bit-exactly.
 	// Ignored by AlgPPO (no federation).
 	Codec fedcore.CodecConfig
-	// AggWorkers overrides the aggregation worker count for this run
-	// (0 = GOMAXPROCS). Any worker count produces bit-identical globals;
-	// the knob trades wall-clock for CPU on large payloads.
-	AggWorkers int
 }
 
 // DefaultExperiment returns the scaled-down counterpart of the paper's main
@@ -450,11 +446,6 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 		if alg == AlgPFRLDM {
 			k = fedcore.DefaultK(len(clients))
 		}
-	}
-	if cfg.AggWorkers > 0 {
-		// Process-wide knob: concurrent Train calls share it, like the
-		// tensor pool and phase timers.
-		fedcore.SetAggWorkers(cfg.AggWorkers)
 	}
 	f, err := fed.New(clients, transport, agg, fed.Options{
 		K: k, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel,

@@ -97,11 +97,10 @@ func (m *Momentum) Aggregate(uploads []Payload) ([]Payload, Payload) {
 }
 
 // AggregateInto implements fedcore.IntoAggregator. The mean reduces into the
-// arena buffer, the velocity/global column update fans out across workers
-// (elementwise, so bit-identical at any width), and the personalized views
-// alias the aggregator's own global — momentum hands everyone the same
-// model. Results are valid until the next round; the engine copy-installs
-// the global.
+// arena buffer, the velocity/global update runs in place, and the
+// personalized views alias the aggregator's own global — momentum hands
+// everyone the same model. Results are valid until the next round; the
+// engine copy-installs the global.
 func (m *Momentum) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	mean := arena.Global(len(uploads[0]))
 	fedcore.ReduceMeanInto(mean, uploads)
@@ -119,22 +118,10 @@ func (m *Momentum) step(mean Payload) {
 	if len(mean) != len(m.global) {
 		panic(fmt.Sprintf("fed: momentum dim changed %d -> %d", len(m.global), len(mean)))
 	}
-	if dim := len(m.global); fedcore.SerialChunk(dim, dim) {
-		// The closure literal lives in the else branch only: building it
-		// here would heap-allocate every round even when it runs serially.
-		m.stepChunk(mean, 0, dim)
-	} else {
-		fedcore.ParallelChunks(dim, dim, func(lo, hi int) { m.stepChunk(mean, lo, hi) })
-	}
-}
-
-// stepChunk applies the velocity update over columns [lo, hi) — the shared
-// kernel of the serial and parallel paths.
-func (m *Momentum) stepChunk(mean Payload, lo, hi int) {
 	beta := m.Beta
-	g, v, u := m.global[lo:hi], m.velocity[lo:hi], mean[lo:hi]
-	for j := range g {
-		delta := u[j] - g[j]
+	g, v := m.global, m.velocity
+	for j, u := range mean {
+		delta := u - g[j]
 		v[j] = beta*v[j] + delta
 		g[j] += v[j]
 	}
@@ -178,10 +165,10 @@ func (a *Attention) Aggregate(uploads []Payload) ([]Payload, Payload) {
 }
 
 // AggregateInto implements fedcore.IntoAggregator: the Eq. 21 mix writes
-// into arena-carved views and the Eq. 22 mean into the arena global, both
-// through the parallel tree-reduce. The attention weight computation itself
-// still allocates (it is O(K²·heads), negligible next to the O(K·dim) data
-// plane). Results are valid until the arena's next round.
+// into arena-carved views and the Eq. 22 mean into the arena global. The
+// attention weight computation itself still allocates (it is O(K²·heads),
+// negligible next to the O(K·dim) data plane). Results are valid until the
+// arena's next round.
 func (a *Attention) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	w := a.Gen.Weights(uploads)
 	a.LastWeights = w

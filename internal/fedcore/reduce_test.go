@@ -2,7 +2,6 @@ package fedcore
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -18,52 +17,10 @@ func randUploads(seed int64, k, dim int) []Payload {
 	return out
 }
 
-// withWorkers runs fn under a fixed aggregation fan-out, restoring the
-// process-wide knob afterwards.
-func withWorkers(n int, fn func()) {
-	prev := SetAggWorkers(n)
-	defer SetAggWorkers(prev)
-	fn()
-}
-
-func TestParallelChunksCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7} {
-		for _, n := range []int{0, 1, 5, 1000} {
-			hits := make([]int, n)
-			var mu sync.Mutex
-			withWorkers(workers, func() {
-				// Inflate the work estimate so the parallel path engages.
-				ParallelChunks(n, aggParallelThreshold*2, func(lo, hi int) {
-					mu.Lock()
-					defer mu.Unlock()
-					for i := lo; i < hi; i++ {
-						hits[i]++
-					}
-				})
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelChunksSerialBelowThreshold(t *testing.T) {
-	withWorkers(8, func() {
-		if n := testing.AllocsPerRun(20, func() {
-			ParallelChunks(100, 100, func(lo, hi int) {})
-		}); n != 0 {
-			t.Fatalf("small-work ParallelChunks allocates %v/op; want serial fast path", n)
-		}
-	})
-}
-
 // TestReduceMeanIntoBitIdentical: the mean must match the seed-era sequential
-// loop bit for bit at every worker count — the degradation pin's foundation.
+// loop bit for bit — the degradation pin's foundation.
 func TestReduceMeanIntoBitIdentical(t *testing.T) {
-	const k, dim = 7, 16384 // k*dim crosses the parallel threshold
+	const k, dim = 7, 16384
 	uploads := randUploads(20, k, dim)
 
 	want := make(Payload, dim)
@@ -77,12 +34,10 @@ func TestReduceMeanIntoBitIdentical(t *testing.T) {
 	}
 
 	dst := make(Payload, dim)
-	for _, workers := range []int{1, 2, 3, 8, 32} {
-		withWorkers(workers, func() { ReduceMeanInto(dst, uploads) })
-		for j := range want {
-			if dst[j] != want[j] {
-				t.Fatalf("workers=%d: mean diverges at %d: %v vs %v", workers, j, dst[j], want[j])
-			}
+	ReduceMeanInto(dst, uploads)
+	for j := range want {
+		if dst[j] != want[j] {
+			t.Fatalf("mean diverges at %d: %v vs %v", j, dst[j], want[j])
 		}
 	}
 }
@@ -110,14 +65,12 @@ func TestWeightedMixIntoBitIdentical(t *testing.T) {
 	}
 
 	var arena PayloadArena
-	for _, workers := range []int{1, 3, 16} {
-		dst := arena.Payloads(k, dim)
-		withWorkers(workers, func() { WeightedMixInto(dst, w, uploads) })
-		for i := range want {
-			for d := range want[i] {
-				if dst[i][d] != want[i][d] {
-					t.Fatalf("workers=%d: mix diverges at [%d][%d]", workers, i, d)
-				}
+	dst := arena.Payloads(k, dim)
+	WeightedMixInto(dst, w, uploads)
+	for i := range want {
+		for d := range want[i] {
+			if dst[i][d] != want[i][d] {
+				t.Fatalf("mix diverges at [%d][%d]", i, d)
 			}
 		}
 	}

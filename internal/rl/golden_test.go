@@ -3,7 +3,6 @@ package rl
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/autograd"
@@ -224,16 +223,11 @@ func collectBuffer(t *testing.T, stateDim, numActions, minSteps int, seed int64)
 }
 
 // TestBatchedUpdateMatchesReference pins golden property (a): the batched
-// pipeline (fused surrogate head, hoisted scratch, dual tapes) produces
-// parameters and statistics bitwise identical to the frozen pre-change
-// sequential update, across several rounds so Adam state and scratch reuse
-// are exercised. Runs with concurrency forced off so the only variable is
-// the pipeline restructure itself; TestConcurrentUpdateMatchesSequential
-// covers the concurrent path.
+// pipeline (fused surrogate head, hoisted scratch, one shared pooled tape)
+// produces parameters and statistics bitwise identical to the frozen
+// pre-change sequential update, across several rounds so Adam state and
+// scratch reuse are exercised.
 func TestBatchedUpdateMatchesReference(t *testing.T) {
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
-
 	const stateDim, numActions = 24, 5
 	t.Run("ppo", func(t *testing.T) {
 		ref := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(99)))
@@ -298,38 +292,13 @@ func TestBatchedUpdateMatchesReference(t *testing.T) {
 	})
 }
 
-// TestConcurrentUpdateMatchesSequential pins golden property (c): running
-// the actor and critic steps concurrently (separate tapes, disjoint
-// parameters) is bitwise identical to the sequential order, regardless of
-// GOMAXPROCS. Exercised under -race by make test-race.
-func TestConcurrentUpdateMatchesSequential(t *testing.T) {
-	const stateDim, numActions = 24, 5
-	seq := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(55)))
-	con := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(55)))
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
-	for round := 0; round < 3; round++ {
-		buf := collectBuffer(t, stateDim, numActions, 150, int64(60+round))
-		SetUpdateConcurrency(ConcurrencyOff)
-		ws := seq.Update(buf)
-		SetUpdateConcurrency(ConcurrencyOn)
-		gs := con.Update(buf)
-		requireStatsEqual(t, "concurrency stats", ws, gs)
-		requireParamsEqual(t, "concurrency actor", seq.Actor, con.Actor)
-		requireParamsEqual(t, "concurrency critic", seq.Critic, con.Critic)
-	}
-}
-
 // TestPPOUpdateSteadyStateAllocs pins the hoisted-staging claim: after
 // warmup, a full PPO update allocates at most a handful of objects (the
 // critic closure and module slice built per call) — no per-minibatch or
-// per-epoch allocations survive.
+// per-epoch allocations survive. testing.AllocsPerRun forces GOMAXPROCS=1
+// itself; the gate at every core count is the BenchmarkPPOUpdate budget in
+// scripts/bench_alloc_guard.sh, run at -cpu 1,2,4.
 func TestPPOUpdateSteadyStateAllocs(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(1) // deterministic pool reuse
-	defer runtime.GOMAXPROCS(prevProcs)
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
-
 	env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 3)
 	agent := benchAgent(4)
 	var buf Buffer

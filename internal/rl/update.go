@@ -2,8 +2,6 @@ package rl
 
 import (
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 
 	"repro/internal/autograd"
 	"repro/internal/nn"
@@ -11,50 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// UpdateConcurrency selects whether ppoUpdate overlaps the actor and the
-// critic optimization of each minibatch on separate goroutines. The two
-// steps touch disjoint parameter sets and run on separate pooled tapes, so
-// overlapping them changes wall-clock time only — results stay bitwise
-// identical (pinned by TestConcurrentUpdateMatchesSequential).
-type UpdateConcurrency int32
-
-const (
-	// ConcurrencyAuto overlaps when GOMAXPROCS > 1 (the default): on a
-	// single-P runtime the extra goroutine only adds scheduling overhead.
-	ConcurrencyAuto UpdateConcurrency = iota
-	// ConcurrencyOn forces the overlapped pipeline.
-	ConcurrencyOn
-	// ConcurrencyOff forces the sequential actor-then-critic order.
-	ConcurrencyOff
-)
-
-var updateConcurrency atomic.Int32
-
-// SetUpdateConcurrency installs the actor/critic overlap mode and returns
-// the previous one. Safe to call concurrently with running updates; each
-// Update samples the mode once at its start.
-func SetUpdateConcurrency(mode UpdateConcurrency) UpdateConcurrency {
-	return UpdateConcurrency(updateConcurrency.Swap(int32(mode)))
-}
-
-func concurrentUpdateEnabled() bool {
-	switch UpdateConcurrency(updateConcurrency.Load()) {
-	case ConcurrencyOn:
-		return true
-	case ConcurrencyOff:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}
-
 // updateScratch owns every reusable buffer of the batched update pipeline,
 // hoisting all per-call staging out of ppoUpdate so a steady-state Update
 // performs no per-minibatch allocations: the shuffle index, the minibatch
-// action/staging matrices, the GAE output slices, and the two pooled tapes
-// (actor and critic get separate tapes so their graph builds can proceed
-// concurrently). Each agent embeds one; it is not safe for concurrent use,
-// matching the agents' one-goroutine-per-agent contract.
+// action/staging matrices, the GAE output slices, and the pooled tape the
+// actor and critic steps take turns on. Each agent embeds one; it is not
+// safe for concurrent use, matching the agents' one-goroutine-per-agent
+// contract.
 type updateScratch struct {
 	idx     []int
 	actions []int
@@ -68,15 +29,14 @@ type updateScratch struct {
 	states, oldLogp, advantage, target, oldValue *tensor.Matrix
 	stagedRows                                   int
 
-	actorTape, criticTape *autograd.Tape
+	tape *autograd.Tape
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
 // minibatch size and state dimension, allocating only on first use or growth.
 func (st *updateScratch) ensure(n, mb, stateDim int) {
-	if st.actorTape == nil {
-		st.actorTape = autograd.NewPooledTape(tensor.DefaultPool())
-		st.criticTape = autograd.NewPooledTape(tensor.DefaultPool())
+	if st.tape == nil {
+		st.tape = autograd.NewPooledTape(tensor.DefaultPool())
 	}
 	if cap(st.idx) < n {
 		st.idx = make([]int, n)
@@ -134,8 +94,7 @@ type ppoUpdateSpec struct {
 	criticModules []criticModule
 
 	// prox, when non-nil, applies FedProx regularization to every stepped
-	// module (see Proximal). Apply only reads shared state, so the actor and
-	// critic goroutines may both call it concurrently.
+	// module (see Proximal).
 	prox *Proximal
 }
 
@@ -145,9 +104,8 @@ var mPPOUpdates = obs.DefaultRegistry().Counter("pfrl_ppo_updates_total",
 
 // ppoUpdate runs the batched clipped-PPO optimization over the buffer: for
 // every epoch, shuffle, stage each minibatch once into the agent's scratch,
-// then run the actor step (fused surrogate head, actor tape) and the critic
-// step (critic tape) — concurrently when enabled, since the two touch
-// disjoint parameters. Numerics are bitwise identical to the historical
+// then run the actor step (fused surrogate head) and then the critic step on
+// the same tape. Numerics are bitwise identical to the historical
 // one-op-per-node sequential loop (TestBatchedUpdateMatchesReference).
 func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 	steps := s.buf.Steps()
@@ -161,24 +119,6 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 	idx := st.idx
 	for i := range idx {
 		idx[i] = i
-	}
-
-	// With concurrency enabled, a per-Update worker goroutine runs the
-	// critic step of each staged minibatch while the main goroutine runs the
-	// actor step. The channel send publishes the freshly staged batch to the
-	// worker; the receive of the critic loss joins before the next batch is
-	// staged, so the scratch views are never written while the worker reads.
-	var jobs chan struct{}
-	var cres chan float64
-	if concurrentUpdateEnabled() && len(s.criticModules) > 0 {
-		jobs = make(chan struct{})
-		cres = make(chan float64)
-		go func() {
-			for range jobs {
-				cres <- criticStep(&s)
-			}
-		}()
-		defer close(jobs)
 	}
 
 	var stats UpdateStats
@@ -209,15 +149,10 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 				oldValue.Data[bi] = steps[t].Value
 			}
 
-			var closs float64
-			if jobs != nil {
-				jobs <- struct{}{} // critic optimizes this batch concurrently
-			}
-
 			// --- Actor step: L = -E[min(r·A, clip(r)·A)] - c·H(π) ---
 			// Gradients are already zero here: parameters start with cleared
 			// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
-			at := st.actorTape
+			at := st.tape
 			at.Reset()
 			logits := s.actor.Forward(at, at.Const(states))
 			res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, s.cfg.Clip, s.cfg.EntCoef)
@@ -241,12 +176,7 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 			epochKL += klBatch / float64(bsz)
 			epochClip += float64(clipped) / float64(bsz)
 
-			if jobs != nil {
-				closs = <-cres
-			} else {
-				closs = criticStep(&s)
-			}
-			epochCritic += closs
+			epochCritic += criticStep(&s)
 			batches++
 		}
 		if batches > 0 {
@@ -266,14 +196,13 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 }
 
 // criticStep runs one critic optimization over the currently staged
-// minibatch (the scratch views) on the critic tape, and returns the loss.
-// It touches only the critic modules and the critic tape, so it may run
-// concurrently with the actor step of the same batch.
+// minibatch (the scratch views) and returns the loss. It resets the shared
+// tape, so the actor step's outputs must be consumed before it runs.
 func criticStep(s *ppoUpdateSpec) float64 {
 	st := s.scratch
 	// Critic grads are zero on entry for the same reason as the actor's:
 	// each cm.opt.Step() below consumes them.
-	ct := st.criticTape
+	ct := st.tape
 	ct.Reset()
 	closs := s.criticLoss(ct, ct.Const(st.states), ct.Const(st.target), ct.Const(st.oldValue))
 	closs.Backward()

@@ -72,8 +72,8 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 
 func TestMatMulVariantsSerialAndParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// Small stays below parallelThreshold; big crosses it so the row-block
-	// fan-out path is exercised for all three kernels.
+	// Small stays on the scalar paths; big takes the SIMD paths of MatMul
+	// and MatMulTransA where the CPU has them.
 	for _, size := range []struct{ m, n, p int }{{4, 5, 3}, {70, 64, 48}} {
 		a := RandNormal(rng, size.m, size.n, 0, 1)
 		b := RandNormal(rng, size.n, size.p, 0, 1)

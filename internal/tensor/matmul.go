@@ -1,102 +1,16 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// parallelThreshold is the minimum number of multiply-accumulate operations
-// (rows*cols*inner) above which the scalar matmul kernels fan out across
-// goroutines. Below the threshold the goroutine overhead dominates any
-// speedup for the small matrices used by the 64-unit MLPs in this
-// repository. simdParallelThreshold is the same knob for the AVX-512 path,
-// whose per-MAC cost is several times lower, so fanning out pays off only
-// for proportionally larger products.
-const (
-	parallelThreshold     = 64 * 1024
-	simdParallelThreshold = 512 * 1024
-)
-
-// matmulWorkers caps the goroutine fan-out width for the tiled kernels.
-// Zero (the default) means "GOMAXPROCS at call time". Accessed atomically so
-// concurrent matmuls can read it without a lock.
-var matmulWorkers atomic.Int64
-
-// SetMatMulWorkers sets the worker count for the row-tiled matmul fan-out
-// and returns the previous setting. n <= 0 restores the GOMAXPROCS-following
-// default. Tiling splits output rows, and every output element's
-// accumulation stays within one worker, so results are identical for any
-// worker count.
-func SetMatMulWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(matmulWorkers.Swap(int64(n)))
-}
-
-// workerCount returns the effective fan-out width.
-func workerCount() int {
-	if n := int(matmulWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// shouldParallelize reports whether a kernel over the given row count and
-// estimated work (total multiply-accumulates) is worth fanning out. Callers
-// check it before building the parallelRows closure so the serial fast path
-// stays allocation-free (the closure would otherwise escape to the heap on
-// every call) — on a single-worker configuration it is always false for the
-// same reason.
-func shouldParallelize(rows, work int) bool {
-	threshold := parallelThreshold
-	if simdEnabled {
-		threshold = simdParallelThreshold
-	}
-	return work >= threshold && rows >= 2 && workerCount() > 1
-}
-
-// parallelRows runs fn over the row range [0, rows), split into contiguous
-// blocks across up to workerCount goroutines. All matmul variants share this
-// fan-out so their parallel behaviour stays identical. Callers have already
-// decided via shouldParallelize that fanning out is worthwhile.
-func parallelRows(rows, work int, fn func(lo, hi int)) {
-	if !shouldParallelize(rows, work) {
-		fn(0, rows)
-		return
-	}
-	workers := workerCount()
-	if workers > rows {
-		workers = rows
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+import "fmt"
 
 // MatMul returns the matrix product m · b.
-// It panics if m.Cols != b.Rows. Large products are tiled by row blocks
-// across GOMAXPROCS goroutines.
+// It panics if m.Cols != b.Rows.
 func (m *Matrix) MatMul(b *Matrix) *Matrix {
 	return m.MatMulInto(b, New(m.Rows, b.Cols))
 }
 
 // MatMulInto computes dst = m · b and returns dst. dst is zeroed first (the
 // kernel accumulates), must have shape m.Rows x b.Cols, and must not alias m
-// or b. Large products are tiled by row blocks across GOMAXPROCS goroutines.
+// or b.
 func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -106,13 +20,7 @@ func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
 		panic("tensor: MatMulInto dst aliases an operand")
 	}
 	dst.Zero()
-	if work := m.Rows * m.Cols * b.Cols; shouldParallelize(m.Rows, work) {
-		parallelRows(m.Rows, work, func(lo, hi int) {
-			matmulRange(dst, m, b, lo, hi)
-		})
-	} else {
-		matmulRange(dst, m, b, 0, m.Rows)
-	}
+	matmulKernel(dst, m, b)
 	return dst
 }
 
@@ -123,15 +31,15 @@ func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
 // accumulates in exactly the order of the unblocked scalar kernel.
 const matmulKBlock = 64
 
-// matmulRange computes rows [lo,hi) of out = m·b using an ikj loop order so
-// the inner loop walks both b and out contiguously.
-func matmulRange(out, m, b *Matrix, lo, hi int) {
+// matmulKernel accumulates out += m·b using an ikj loop order so the inner
+// loop walks both b and out contiguously.
+func matmulKernel(out, m, b *Matrix) {
 	n, p := m.Cols, b.Cols
 	if simdEnabled && p >= 8 && n > 0 {
-		matmulRangeSIMD(out, m, b, lo, hi)
+		matmulSIMD(out, m, b)
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		mrow := m.Data[i*n : (i+1)*n]
 		orow := out.Data[i*p : (i+1)*p]
 		for k, mv := range mrow {
@@ -146,11 +54,11 @@ func matmulRange(out, m, b *Matrix, lo, hi int) {
 	}
 }
 
-// matmulRangeSIMD is the cache-blocked AVX-512 variant of matmulRange. The
+// matmulSIMD is the cache-blocked AVX-512 variant of matmulKernel. The
 // full-width column groups go through axpyCols (bitwise identical to the
 // scalar inner loop); the p%8 tail columns run the scalar loop. Requires
 // b.Cols >= 8 and m.Cols > 0.
-func matmulRangeSIMD(out, m, b *Matrix, lo, hi int) {
+func matmulSIMD(out, m, b *Matrix) {
 	n, p := m.Cols, b.Cols
 	p8 := p &^ 7
 	for k0 := 0; k0 < n; k0 += matmulKBlock {
@@ -159,14 +67,14 @@ func matmulRangeSIMD(out, m, b *Matrix, lo, hi int) {
 			kn = matmulKBlock
 		}
 		bp := &b.Data[k0*p]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m.Rows; i++ {
 			axpyCols(&out.Data[i*p], bp, &m.Data[i*n+k0], kn, p8, p, 1)
 		}
 	}
 	if p8 == p {
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		mrow := m.Data[i*n : (i+1)*n]
 		orow := out.Data[i*p : (i+1)*p]
 		for k, mv := range mrow {
@@ -187,8 +95,7 @@ func (m *Matrix) MatMulTransB(b *Matrix) *Matrix {
 }
 
 // MatMulTransBInto computes dst = m · bᵀ and returns dst. dst must have
-// shape m.Rows x b.Rows and must not alias m or b. Large products fan out by
-// row blocks like MatMul.
+// shape m.Rows x b.Rows and must not alias m or b.
 func (m *Matrix) MatMulTransBInto(b, dst *Matrix) *Matrix {
 	if m.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -197,21 +104,15 @@ func (m *Matrix) MatMulTransBInto(b, dst *Matrix) *Matrix {
 	if aliases(dst, m) || aliases(dst, b) {
 		panic("tensor: MatMulTransBInto dst aliases an operand")
 	}
-	if work := m.Rows * m.Cols * b.Rows; shouldParallelize(m.Rows, work) {
-		parallelRows(m.Rows, work, func(lo, hi int) {
-			matmulTransBRange(dst, m, b, lo, hi)
-		})
-	} else {
-		matmulTransBRange(dst, m, b, 0, m.Rows)
-	}
+	matmulTransBKernel(dst, m, b)
 	return dst
 }
 
-// matmulTransBRange computes rows [lo,hi) of out = m·bᵀ: each output row is
-// a set of dot products between one row of m and every row of b.
-func matmulTransBRange(out, m, b *Matrix, lo, hi int) {
+// matmulTransBKernel computes out = m·bᵀ: each output row is a set of dot
+// products between one row of m and every row of b.
+func matmulTransBKernel(out, m, b *Matrix) {
 	n := m.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		mrow := m.Data[i*n : (i+1)*n]
 		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
 		for j := 0; j < b.Rows; j++ {
@@ -232,9 +133,7 @@ func (m *Matrix) MatMulTransA(b *Matrix) *Matrix {
 
 // MatMulTransAInto computes dst = mᵀ · b and returns dst. dst is zeroed
 // first (the kernel accumulates), must have shape m.Cols x b.Cols, and must
-// not alias m or b. Large products fan out across goroutines by blocks of
-// output rows (columns of m), so every k-accumulation stays within one
-// goroutine and the summation order matches the serial kernel exactly.
+// not alias m or b.
 func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
 	if m.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -244,29 +143,22 @@ func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
 		panic("tensor: MatMulTransAInto dst aliases an operand")
 	}
 	dst.Zero()
-	if work := m.Rows * m.Cols * b.Cols; shouldParallelize(m.Cols, work) {
-		parallelRows(m.Cols, work, func(lo, hi int) {
-			matmulTransARange(dst, m, b, lo, hi)
-		})
-	} else {
-		matmulTransARange(dst, m, b, 0, m.Cols)
-	}
+	matmulTransAKernel(dst, m, b)
 	return dst
 }
 
-// matmulTransARange computes output rows [lo,hi) of out = mᵀ·b, i.e. the
-// contributions of columns lo..hi of m. The k loop stays outermost (as in
-// the historical serial kernel) so accumulation order per output element is
-// identical regardless of how the row range is partitioned.
-func matmulTransARange(out, m, b *Matrix, lo, hi int) {
+// matmulTransAKernel accumulates out += mᵀ·b. The k loop stays outermost
+// (as in the historical kernel), fixing the accumulation order per output
+// element.
+func matmulTransAKernel(out, m, b *Matrix) {
 	if simdEnabled && b.Cols >= 8 && m.Rows > 0 {
-		matmulTransARangeSIMD(out, m, b, lo, hi)
+		matmulTransASIMD(out, m, b)
 		return
 	}
 	for k := 0; k < m.Rows; k++ {
 		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m.Cols; i++ {
 			mv := mrow[i]
 			if mv == 0 {
 				continue
@@ -279,12 +171,12 @@ func matmulTransARange(out, m, b *Matrix, lo, hi int) {
 	}
 }
 
-// matmulTransARangeSIMD is the cache-blocked AVX-512 variant of
-// matmulTransARange. Each output row i reads column i of m with stride
+// matmulTransASIMD is the cache-blocked AVX-512 variant of
+// matmulTransAKernel. Each output row i reads column i of m with stride
 // m.Cols (a strided scalar stream the out-of-order core hides well);
 // accumulation per element runs over ascending k exactly like the scalar
 // k-outermost kernel. Requires b.Cols >= 8 and m.Rows > 0.
-func matmulTransARangeSIMD(out, m, b *Matrix, lo, hi int) {
+func matmulTransASIMD(out, m, b *Matrix) {
 	p := b.Cols
 	p8 := p &^ 7
 	for k0 := 0; k0 < m.Rows; k0 += matmulKBlock {
@@ -293,7 +185,7 @@ func matmulTransARangeSIMD(out, m, b *Matrix, lo, hi int) {
 			kn = matmulKBlock
 		}
 		bp := &b.Data[k0*p]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m.Cols; i++ {
 			axpyCols(&out.Data[i*p], bp, &m.Data[k0*m.Cols+i], kn, p8, p, m.Cols)
 		}
 	}
@@ -303,7 +195,7 @@ func matmulTransARangeSIMD(out, m, b *Matrix, lo, hi int) {
 	for k := 0; k < m.Rows; k++ {
 		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
 		brow := b.Data[k*p : (k+1)*p]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m.Cols; i++ {
 			mv := mrow[i]
 			if mv == 0 {
 				continue

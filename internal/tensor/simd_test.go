@@ -215,26 +215,3 @@ func TestAdamUpdateSIMDMatchesScalar(t *testing.T) {
 		requireBitIdentical(t, "AdamUpdate v", v1, v2)
 	}
 }
-
-func TestSetMatMulWorkers(t *testing.T) {
-	prev := SetMatMulWorkers(3)
-	defer SetMatMulWorkers(prev)
-	if got := SetMatMulWorkers(0); got != 3 {
-		t.Fatalf("SetMatMulWorkers returned %d, want 3", got)
-	}
-	// Worker count must not change results: run a product large enough to
-	// fan out under both settings and compare bitwise.
-	rng := rand.New(rand.NewSource(46))
-	m := New(96, 300)
-	b := New(300, 64)
-	fillMixed(rng, m.Data)
-	fillMixed(rng, b.Data)
-	one := New(96, 64)
-	many := New(96, 64)
-	SetMatMulWorkers(1)
-	m.MatMulInto(b, one)
-	SetMatMulWorkers(4)
-	m.MatMulInto(b, many)
-	SetMatMulWorkers(prev)
-	requireBitIdentical(t, "MatMulInto workers", one.Data, many.Data)
-}

@@ -10,6 +10,9 @@
 #     plane — codec encode/decode plus pooled aggregation — reuses encoder
 #     scratch and the payload arena every round).
 #
+# Every benchmark runs at -cpu 1,2,4: the budgets hold at any GOMAXPROCS,
+# not only on a single core.
+#
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
 #   env    only the zero-alloc env/rollout guards (`make bench-env`)
@@ -32,20 +35,20 @@ trap 'rm -f "$out"' EXIT
 if [ "$MODE" = "all" ] || [ "$MODE" = "env" ]; then
 	"$GO" test ./internal/cloudsim/ -run '^$' \
 		-bench 'BenchmarkEnvStep|BenchmarkObserve|BenchmarkEpisode' \
-		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+		-benchtime "$BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
 	"$GO" test ./internal/rl/ -run '^$' \
 		-bench 'BenchmarkRolloutStep' \
-		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+		-benchtime "$BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "update" ]; then
 	"$GO" test ./internal/rl/ -run '^$' \
 		-bench 'BenchmarkPPOUpdate' \
-		-benchtime "$PPO_BENCHTIME" -benchmem | tee -a "$out"
+		-benchtime "$PPO_BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 	"$GO" test ./internal/fed/ -run '^$' \
 		-bench 'BenchmarkFedAggregate' \
-		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+		-benchtime "$BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
 fi
 
 awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
