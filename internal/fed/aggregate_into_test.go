@@ -1,7 +1,9 @@
 package fed
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fedcore"
@@ -9,9 +11,11 @@ import (
 
 // TestAggregateIntoMatchesAggregate is the aggregator half of the degradation
 // pin: for every strategy the pooled arena fast path must reproduce the
-// legacy allocating Aggregate bit for bit. Stateful
-// aggregators (momentum) are driven through multiple rounds on independent
-// instances so their internal state evolves identically on both paths.
+// legacy allocating Aggregate bit for bit, at any number of scheduler worker
+// threads (GOMAXPROCS 1 and 4): the reduce kernels are serial, so the thread
+// count must not reach the arithmetic. Stateful aggregators (momentum) are
+// driven through multiple rounds on independent instances so their internal
+// state evolves identically on both paths.
 func TestAggregateIntoMatchesAggregate(t *testing.T) {
 	const k, dim, rounds = 5, 257, 3
 
@@ -46,38 +50,42 @@ func TestAggregateIntoMatchesAggregate(t *testing.T) {
 		{"StaticWeights", func() Aggregator { return StaticWeights{W: staticW} }},
 	}
 
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, pooled := tc.fresh(), tc.fresh()
-			into, ok := pooled.(fedcore.IntoAggregator)
-			if !ok {
-				t.Fatalf("%s does not implement the pooled fast path", tc.name)
-			}
-			rng := rand.New(rand.NewSource(31))
-			var arena fedcore.PayloadArena
-			for round := 0; round < rounds; round++ {
-				uploads := makeUploads(rng)
-				wantPers, wantGlobal := legacy.Aggregate(uploads)
-				gotPers, gotGlobal := into.AggregateInto(uploads, &arena)
-				if len(gotPers) != len(wantPers) {
-					t.Fatalf("round %d: %d personalized payloads, want %d", round, len(gotPers), len(wantPers))
+	for _, workers := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(workers)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				legacy, pooled := tc.fresh(), tc.fresh()
+				into, ok := pooled.(fedcore.IntoAggregator)
+				if !ok {
+					t.Fatalf("%s does not implement the pooled fast path", tc.name)
 				}
-				for i := range wantPers {
-					for j := range wantPers[i] {
-						if gotPers[i][j] != wantPers[i][j] {
-							t.Fatalf("round %d: personalized[%d][%d] = %v, want %v (bitwise)",
-								round, i, j, gotPers[i][j], wantPers[i][j])
+				rng := rand.New(rand.NewSource(31))
+				var arena fedcore.PayloadArena
+				for round := 0; round < rounds; round++ {
+					uploads := makeUploads(rng)
+					wantPers, wantGlobal := legacy.Aggregate(uploads)
+					gotPers, gotGlobal := into.AggregateInto(uploads, &arena)
+					if len(gotPers) != len(wantPers) {
+						t.Fatalf("round %d: %d personalized payloads, want %d", round, len(gotPers), len(wantPers))
+					}
+					for i := range wantPers {
+						for j := range wantPers[i] {
+							if gotPers[i][j] != wantPers[i][j] {
+								t.Fatalf("round %d: personalized[%d][%d] = %v, want %v (bitwise)",
+									round, i, j, gotPers[i][j], wantPers[i][j])
+							}
+						}
+					}
+					for j := range wantGlobal {
+						if gotGlobal[j] != wantGlobal[j] {
+							t.Fatalf("round %d: global[%d] = %v, want %v (bitwise)",
+								round, j, gotGlobal[j], wantGlobal[j])
 						}
 					}
 				}
-				for j := range wantGlobal {
-					if gotGlobal[j] != wantGlobal[j] {
-						t.Fatalf("round %d: global[%d] = %v, want %v (bitwise)",
-							round, j, gotGlobal[j], wantGlobal[j])
-					}
-				}
-			}
-		})
+			})
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
