@@ -133,9 +133,6 @@ func runPerf(bc benchConfig) error {
 		fmt.Printf("tensor pool: %d gets, %d recycled (%.1f%% hit rate)\n",
 			gets, hits, 100*float64(hits)/float64(gets))
 	}
-	if err := runBatchedRollout(bc); err != nil {
-		return err
-	}
 	if err := runEnvStep(bc); err != nil {
 		return err
 	}
@@ -147,89 +144,6 @@ func runPerf(bc benchConfig) error {
 	}
 	fmt.Println()
 	return runClusterScale(bc)
-}
-
-// batchedRolloutEntry is one row of the BENCH_BatchedRollout.json artifact:
-// full-episode collection across Envs lockstep environments. NsPerEnvStep is
-// the per-transition cost — the number comparable across batch widths and
-// against the single-env RolloutStep benchmark.
-type batchedRolloutEntry struct {
-	Envs         int     `json:"envs"`
-	Iterations   int     `json:"iterations"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	NsPerEnvStep float64 `json:"ns_per_env_step"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-}
-
-// batchedRolloutResult is the schema of the BENCH_BatchedRollout.json
-// artifact.
-type batchedRolloutResult struct {
-	Name       string                `json:"name"`
-	StateDim   int                   `json:"state_dim"`
-	NumActions int                   `json:"num_actions"`
-	Horizon    int                   `json:"horizon"`
-	Entries    []batchedRolloutEntry `json:"entries"`
-}
-
-// benchBatchedRollout runs the vectorized collector over n synthetic
-// environments, one full horizon-length episode per slot per iteration — the
-// CLI twin of internal/rl's BenchmarkBatchedRollout.
-func benchBatchedRollout(n int) func(*testing.B) {
-	return func(b *testing.B) {
-		agent := perfAgent(9)
-		envs := make([]rl.Environment, n)
-		syn := make([]*rl.SyntheticEnv, n)
-		rngs := make([]*rand.Rand, n)
-		for i := 0; i < n; i++ {
-			syn[i] = rl.NewSyntheticEnv(perfStateDim, perfActions, perfHorizon, int64(100+i))
-			envs[i] = syn[i]
-			rngs[i] = rand.New(rand.NewSource(int64(200 + i)))
-		}
-		col := rl.NewVecCollector(agent, envs, rngs)
-		bufs := make([]*rl.Buffer, n)
-		for i := range bufs {
-			bufs[i] = &rl.Buffer{}
-		}
-		var totals []float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range syn {
-				syn[j].Reset()
-				bufs[j].Reset()
-			}
-			totals = col.Collect(bufs, totals)
-		}
-		_ = totals
-	}
-}
-
-// runBatchedRollout measures the vectorized multi-env collector at batch
-// widths 1, 4, and 16 and writes BENCH_BatchedRollout.json.
-func runBatchedRollout(bc benchConfig) error {
-	res := batchedRolloutResult{
-		Name:       "BatchedRollout",
-		StateDim:   perfStateDim,
-		NumActions: perfActions,
-		Horizon:    perfHorizon,
-	}
-	fmt.Printf("\nbatched rollout (vectorized collector, horizon %d per env):\n", perfHorizon)
-	t := trace.NewTable("envs", "iters", "ns/op", "ns/env-step", "allocs/op")
-	for _, n := range []int{1, 4, 16} {
-		r := testing.Benchmark(benchBatchedRollout(n))
-		e := batchedRolloutEntry{
-			Envs:         n,
-			Iterations:   r.N,
-			NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
-			NsPerEnvStep: float64(r.T.Nanoseconds()) / float64(r.N*n*perfHorizon),
-			AllocsPerOp:  r.AllocsPerOp(),
-		}
-		res.Entries = append(res.Entries, e)
-		t.AddRow(e.Envs, e.Iterations, e.NsPerOp, e.NsPerEnvStep, e.AllocsPerOp)
-	}
-	fmt.Print(t.String())
-	bc.writeJSON("BENCH_BatchedRollout.json", res)
-	return nil
 }
 
 // Simulator-core benchmark dimensions: the default 20-VM heterogeneous

@@ -45,12 +45,10 @@ func TestGradMatMul(t *testing.T) {
 func TestGradAddSubMulDiv(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := tensor.RandNormal(rng, 2, 3, 0, 1)
-	b := tensor.RandUniform(rng, 2, 3, 0.5, 2.0) // positive for Div
+	b := tensor.RandUniform(rng, 2, 3, 0.5, 2.0)
 	checkGrad(t, "add", a, func(tp *Tape, x *Value) *Value { return Sum(Add(x, tp.Const(b))) })
 	checkGrad(t, "sub", a, func(tp *Tape, x *Value) *Value { return Sum(Sub(x, tp.Const(b))) })
 	checkGrad(t, "mul", a, func(tp *Tape, x *Value) *Value { return Sum(Mul(x, tp.Const(b))) })
-	checkGrad(t, "div-num", a, func(tp *Tape, x *Value) *Value { return Sum(Div(x, tp.Const(b))) })
-	checkGrad(t, "div-den", b, func(tp *Tape, x *Value) *Value { return Sum(Div(tp.Const(a), x)) })
 }
 
 func TestGradAddRow(t *testing.T) {
@@ -69,7 +67,6 @@ func TestGradActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.RandNormal(rng, 3, 3, 0, 1.5)
 	checkGrad(t, "tanh", a, func(tp *Tape, x *Value) *Value { return Sum(Tanh(x)) })
-	checkGrad(t, "sigmoid", a, func(tp *Tape, x *Value) *Value { return Sum(Sigmoid(x)) })
 	checkGrad(t, "exp", a, func(tp *Tape, x *Value) *Value { return Sum(Exp(x)) })
 	checkGrad(t, "square", a, func(tp *Tape, x *Value) *Value { return Sum(Square(x)) })
 
@@ -82,9 +79,6 @@ func TestGradActivations(t *testing.T) {
 	})
 	checkGrad(t, "relu", shifted, func(tp *Tape, x *Value) *Value { return Sum(ReLU(x)) })
 	checkGrad(t, "clamp", shifted, func(tp *Tape, x *Value) *Value { return Sum(Clamp(x, -0.8, 0.8)) })
-
-	pos := tensor.RandUniform(rng, 3, 3, 0.5, 3)
-	checkGrad(t, "log", pos, func(tp *Tape, x *Value) *Value { return Sum(Log(x)) })
 }
 
 func TestGradScaleNegAddScalar(t *testing.T) {
@@ -92,7 +86,6 @@ func TestGradScaleNegAddScalar(t *testing.T) {
 	a := tensor.RandNormal(rng, 2, 2, 0, 1)
 	checkGrad(t, "scale", a, func(tp *Tape, x *Value) *Value { return Sum(Scale(x, 2.5)) })
 	checkGrad(t, "neg", a, func(tp *Tape, x *Value) *Value { return Sum(Neg(x)) })
-	checkGrad(t, "addscalar", a, func(tp *Tape, x *Value) *Value { return Sum(Square(AddScalar(x, 3))) })
 }
 
 func TestGradReductions(t *testing.T) {
@@ -134,18 +127,6 @@ func TestGradPickCols(t *testing.T) {
 	idx := []int{2, 0, 5, 3}
 	checkGrad(t, "pickcols", a, func(tp *Tape, x *Value) *Value {
 		return Sum(Square(PickCols(LogSoftmaxRows(x), idx)))
-	})
-}
-
-func TestGradConcatCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := tensor.RandNormal(rng, 3, 2, 0, 1)
-	b := tensor.RandNormal(rng, 3, 4, 0, 1)
-	checkGrad(t, "concat-a", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(ConcatCols(x, tp.Const(b))))
-	})
-	checkGrad(t, "concat-b", b, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(ConcatCols(tp.Const(a), x)))
 	})
 }
 

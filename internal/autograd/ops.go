@@ -62,31 +62,6 @@ func Mul(a, b *Value) *Value {
 	return out
 }
 
-// Div returns the elementwise quotient a/b.
-func Div(a, b *Value) *Value {
-	t := sameTape(a, b)
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad || b.requiresGrad)
-	a.Data.DivElemInto(b.Data, out.Data)
-	out.back = func() {
-		if a.requiresGrad {
-			tmp := t.alloc(out.Data.Rows, out.Data.Cols)
-			out.Grad.DivElemInto(b.Data, tmp)
-			a.accum(tmp)
-			t.release(tmp)
-		}
-		if b.requiresGrad {
-			// d/db (a/b) = -a/b²
-			tmp := t.alloc(out.Data.Rows, out.Data.Cols)
-			out.Grad.MulElemInto(a.Data, tmp)
-			tmp.DivElemInto(b.Data, tmp)
-			tmp.DivElemInto(b.Data, tmp)
-			b.accumScaled(tmp, -1)
-			t.release(tmp)
-		}
-	}
-	return out
-}
-
 // AddRow adds a 1xC bias row vector to every row of a (a dense layer bias).
 func AddRow(a, bias *Value) *Value {
 	t := sameTape(a, bias)
@@ -102,15 +77,6 @@ func Scale(a *Value, s float64) *Value {
 	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
 	a.Data.ScaleInto(s, out.Data)
 	out.op, out.srcA, out.auxS0 = opScale, a, s
-	return out
-}
-
-// AddScalar returns a + s elementwise.
-func AddScalar(a *Value, s float64) *Value {
-	t := a.tape
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
-	a.Data.AddScalarInto(s, out.Data)
-	out.back = func() { a.accum(out.Grad) }
 	return out
 }
 
@@ -149,23 +115,6 @@ func ReLU(a *Value) *Value {
 	return out
 }
 
-// Sigmoid returns 1/(1+e^{-a}) elementwise.
-func Sigmoid(a *Value) *Value {
-	t := a.tape
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
-	a.Data.ApplyInto(func(x float64) float64 {
-		return 1 / (1 + math.Exp(-x))
-	}, out.Data)
-	out.back = func() {
-		tmp := t.alloc(out.Data.Rows, out.Data.Cols)
-		out.Data.ApplyInto(func(y float64) float64 { return y * (1 - y) }, tmp)
-		out.Grad.MulElemInto(tmp, tmp)
-		a.accum(tmp)
-		t.release(tmp)
-	}
-	return out
-}
-
 // Exp returns e^a elementwise.
 func Exp(a *Value) *Value {
 	t := a.tape
@@ -174,21 +123,6 @@ func Exp(a *Value) *Value {
 	out.back = func() {
 		tmp := t.alloc(out.Data.Rows, out.Data.Cols)
 		out.Grad.MulElemInto(out.Data, tmp)
-		a.accum(tmp)
-		t.release(tmp)
-	}
-	return out
-}
-
-// Log returns ln(a) elementwise. Behaviour for non-positive inputs follows
-// math.Log (NaN / -Inf); callers are expected to keep inputs positive.
-func Log(a *Value) *Value {
-	t := a.tape
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
-	a.Data.ApplyInto(math.Log, out.Data)
-	out.back = func() {
-		tmp := t.alloc(out.Data.Rows, out.Data.Cols)
-		out.Grad.DivElemInto(a.Data, tmp)
 		a.accum(tmp)
 		t.release(tmp)
 	}
@@ -377,40 +311,6 @@ func SumRows(a *Value) *Value {
 		}
 		a.accum(tmp)
 		t.release(tmp)
-	}
-	return out
-}
-
-// ConcatCols concatenates a (NxA) and b (NxB) into an Nx(A+B) value.
-func ConcatCols(a, b *Value) *Value {
-	t := sameTape(a, b)
-	if a.Data.Rows != b.Data.Rows {
-		panic(fmt.Sprintf("autograd: ConcatCols row mismatch %d vs %d", a.Data.Rows, b.Data.Rows))
-	}
-	n, ca, cb := a.Data.Rows, a.Data.Cols, b.Data.Cols
-	out := t.opNode(n, ca+cb, a.requiresGrad || b.requiresGrad)
-	data := out.Data
-	for i := 0; i < n; i++ {
-		copy(data.Row(i)[:ca], a.Data.Row(i))
-		copy(data.Row(i)[ca:], b.Data.Row(i))
-	}
-	out.back = func() {
-		if a.requiresGrad {
-			da := t.alloc(n, ca)
-			for i := 0; i < n; i++ {
-				copy(da.Row(i), out.Grad.Row(i)[:ca])
-			}
-			a.accum(da)
-			t.release(da)
-		}
-		if b.requiresGrad {
-			db := t.alloc(n, cb)
-			for i := 0; i < n; i++ {
-				copy(db.Row(i), out.Grad.Row(i)[ca:])
-			}
-			b.accum(db)
-			t.release(db)
-		}
 	}
 	return out
 }

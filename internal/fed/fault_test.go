@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/fedcore"
 )
 
 func TestParseFaultSpec(t *testing.T) {
@@ -196,7 +198,7 @@ func TestPartialAggregation(t *testing.T) {
 	for _, ac := range aggs {
 		for k := 0; k <= len(all); k++ {
 			uploads := all[:k]
-			personalized, global := AggregatePartial(ac.mk(), uploads, prev)
+			personalized, global := fedcore.AggregatePartialInto(ac.mk(), uploads, prev, &fedcore.PayloadArena{})
 			if len(personalized) != k {
 				t.Fatalf("%s k=%d: %d personalized payloads", ac.name, k, len(personalized))
 			}
@@ -234,7 +236,7 @@ func TestPartialAggregation(t *testing.T) {
 	// included) must reproduce the common vector for every k ≥ 1.
 	for _, ac := range aggs {
 		same := []Payload{mk(5), mk(5)}
-		_, global := AggregatePartial(ac.mk(), same, prev)
+		_, global := fedcore.AggregatePartialInto(ac.mk(), same, prev, &fedcore.PayloadArena{})
 		for i := range global {
 			if math.Abs(global[i]-same[0][i]) > 1e-9 {
 				t.Fatalf("%s: identical uploads must aggregate to themselves", ac.name)

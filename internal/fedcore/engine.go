@@ -57,27 +57,15 @@ type IntoAggregator interface {
 	AggregateInto(uploads []Payload, arena *PayloadArena) (personalized []Payload, global Payload)
 }
 
-// AggregatePartial runs one aggregation over however many uploads arrived
-// (the partial-participation regime: k of n clients answered before the
-// round deadline). Each arrival carries equal weight, so the result is the
-// participation-weighted mean — exactly agg.Aggregate over the k uploads.
-// The degenerate round where nobody arrived is well-defined too: no
-// personalized payloads, and the global payload carries over unchanged.
-//
-// This is the single implementation of the policy; fed.AggregatePartial is
-// a thin delegate kept for call-site convenience.
-func AggregatePartial(agg Aggregator, uploads []Payload, prevGlobal Payload) (personalized []Payload, global Payload) {
-	if len(uploads) == 0 {
-		return nil, append(Payload(nil), prevGlobal...)
-	}
-	return agg.Aggregate(uploads)
-}
-
-// AggregatePartialInto is AggregatePartial over arena buffers: the pooled
-// data plane the engine (and the aggregation benchmarks) run. Zero uploads
-// return prevGlobal itself as the carried-over global — the caller copies
-// or already owns it. Aggregators without the pooled fast path fall back to
-// the allocating Aggregate.
+// AggregatePartialInto runs one aggregation over however many uploads
+// arrived (the partial-participation regime: k of n clients answered
+// before the round deadline), placing the result in arena buffers. Each
+// arrival carries equal weight, so the result is the participation-weighted
+// mean — exactly agg.Aggregate over the k uploads. The degenerate round
+// where nobody arrived is well-defined too: no personalized payloads, and
+// prevGlobal itself is returned as the carried-over global — the caller
+// copies or already owns it. Aggregators without the pooled fast path fall
+// back to the allocating Aggregate.
 func AggregatePartialInto(agg Aggregator, uploads []Payload, prevGlobal Payload, arena *PayloadArena) (personalized []Payload, global Payload) {
 	if len(uploads) == 0 {
 		return nil, prevGlobal

@@ -68,16 +68,6 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	return m
 }
 
-// GetUninit returns a rows x cols matrix whose contents are unspecified: a
-// recycled buffer keeps whatever values its previous owner left behind. Only
-// callers that overwrite every element before reading any (e.g. the
-// transpose scratch in MatMulTransAInto) may use it; everything else goes
-// through Get, which zeroes defensively.
-func (p *Pool) GetUninit(rows, cols int) *Matrix {
-	m, _ := p.get(rows, cols)
-	return m
-}
-
 func (p *Pool) get(rows, cols int) (m *Matrix, recycled bool) {
 	if rows < 0 || cols < 0 {
 		return New(rows, cols), false // defer to New's shape panic

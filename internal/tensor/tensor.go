@@ -214,16 +214,6 @@ func (m *Matrix) MulElem(b *Matrix) *Matrix {
 	return out
 }
 
-// DivElem returns the elementwise quotient m / b.
-func (m *Matrix) DivElem(b *Matrix) *Matrix {
-	m.assertSameShape(b, "DivElem")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v / b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s*m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -239,15 +229,6 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// AddScalar returns m + s applied elementwise.
-func (m *Matrix) AddScalar(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + s
-	}
-	return out
 }
 
 // Apply returns f applied elementwise to m.

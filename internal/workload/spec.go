@@ -16,8 +16,7 @@ import (
 // are rejected) and compile into the Model generator machinery, so
 // everything downstream of Sample/Stream — ClampTasks, TaskSource, the
 // simulator — consumes spec-driven traffic unchanged. The ten builtin
-// datasets ship as preset specs (see PresetSpec) that reproduce their
-// legacy models bit-identically.
+// datasets are defined only as preset specs (see PresetSpec and Lookup).
 type Spec struct {
 	Name    string       `json:"name"`
 	Clients []SpecClient `json:"clients"`
@@ -278,8 +277,8 @@ func (c *Compiled) counts(n int) []int {
 }
 
 // Sample draws n tasks from the compiled spec. A single-client spec
-// delegates directly to its model with the caller's RNG — this is what
-// makes the shipped presets reproduce the builtin generators bit-for-bit.
+// delegates directly to its model with the caller's RNG, so a preset's
+// Compiled.Sample and Lookup(id).Sample emit the same tasks.
 // Multi-client specs seed one child RNG per client from the caller's RNG
 // (in client order), sample each client's share, and Combine the sets:
 // arrival-ordered with ties in client order, rebased, IDs renumbered.

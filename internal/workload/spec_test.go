@@ -7,50 +7,6 @@ import (
 	"testing"
 )
 
-// TestPresetSpecsMatchBuiltins is the degradation golden for the spec
-// engine: every shipped preset spec must reproduce its legacy builtin
-// model's task stream bit-identically, through both Sample and Stream.
-func TestPresetSpecsMatchBuiltins(t *testing.T) {
-	for _, id := range AllDatasets() {
-		spec, err := PresetSpec(id)
-		if err != nil {
-			t.Fatalf("%v: %v", id, err)
-		}
-		comp, err := spec.Compile()
-		if err != nil {
-			t.Fatalf("%v: %v", id, err)
-		}
-		if len(comp.Clients) != 1 {
-			t.Fatalf("%v: preset has %d clients, want 1", id, len(comp.Clients))
-		}
-		for _, seed := range []int64{1, 7, 42} {
-			want := SampleDataset(id, rand.New(rand.NewSource(seed)), 300)
-			got := comp.Sample(rand.New(rand.NewSource(seed)), 300)
-			if len(got) != len(want) {
-				t.Fatalf("%v seed %d: Sample emitted %d tasks, want %d", id, seed, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v seed %d: Sample task %d = %+v, want %+v", id, seed, i, got[i], want[i])
-				}
-			}
-			st := comp.Stream(rand.New(rand.NewSource(seed)), 300)
-			for i := range want {
-				tk, ok := st.Next()
-				if !ok {
-					t.Fatalf("%v seed %d: Stream ended at task %d", id, seed, i)
-				}
-				if tk != want[i] {
-					t.Fatalf("%v seed %d: Stream task %d = %+v, want %+v", id, seed, i, tk, want[i])
-				}
-			}
-			if _, ok := st.Next(); ok {
-				t.Fatalf("%v seed %d: Stream emitted more than %d tasks", id, seed, len(want))
-			}
-		}
-	}
-}
-
 // legacyReferenceSample is the pre-refactor generator, kept verbatim as the
 // golden reference: per-slot batch gate, geometric batches, and — the perf
 // nit this PR fixed — a CPU sampler that re-sums the weight vector on every

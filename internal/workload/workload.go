@@ -327,14 +327,20 @@ func (m *Model) Sample(rng *rand.Rand, n int) []Task {
 	return tasks
 }
 
-// Lookup returns the built-in model for a dataset ID.
+// Lookup compiles a dataset's embedded preset spec into a fresh Model, so
+// callers own every field, slices included. It panics on an unknown ID.
 func Lookup(id DatasetID) *Model {
-	m, ok := builtinModels[id]
-	if !ok {
-		panic(fmt.Sprintf("workload: unknown dataset %v", id))
+	spec, err := PresetSpec(id)
+	if err != nil {
+		panic(err)
 	}
-	c := *m
-	return &c
+	c, err := spec.Compile()
+	if err != nil {
+		panic(err)
+	}
+	m := c.Clients[0].Model
+	m.Name = id.String()
+	return m
 }
 
 // SampleDataset is shorthand for Lookup(id).Sample(rng, n).

@@ -16,11 +16,22 @@ func TestAllBuiltinModelsValid(t *testing.T) {
 	}
 }
 
+// TestLookupReturnsCopy checks that a Lookup result shares nothing with
+// later calls, slices included, and carries the dataset's trace name.
 func TestLookupReturnsCopy(t *testing.T) {
-	a := Lookup(Google)
-	a.RatePerSlot = 999
-	if Lookup(Google).RatePerSlot == 999 {
-		t.Fatal("Lookup must return a copy")
+	for _, id := range AllDatasets() {
+		a := Lookup(id)
+		if a.Name != id.String() {
+			t.Errorf("%v: Name = %q, want %q", id, a.Name, id.String())
+		}
+		choice, weight := a.CPUChoices[0], a.CPUWeights[0]
+		a.RatePerSlot = 999
+		a.CPUChoices[0] = 0
+		a.CPUWeights[0] = 0
+		b := Lookup(id)
+		if b.RatePerSlot == 999 || b.CPUChoices[0] != choice || b.CPUWeights[0] != weight {
+			t.Fatalf("%v: mutating one Lookup result changed a later one", id)
+		}
 	}
 }
 
@@ -308,9 +319,9 @@ func TestHybridMixBoundaryFractions(t *testing.T) {
 		frac       float64
 		wantNative int
 	}{
-		{"truncation-bug", 7, 0.1, 1},   // int(0.7) == 0 before the fix
-		{"round-down", 10, 0.04, 0},     // round(0.4) == 0
-		{"round-up", 10, 0.05, 1},       // round(0.5) == 1 (half away from zero)
+		{"truncation-bug", 7, 0.1, 1}, // int(0.7) == 0 before the fix
+		{"round-down", 10, 0.04, 0},   // round(0.4) == 0
+		{"round-up", 10, 0.05, 1},     // round(0.5) == 1 (half away from zero)
 		{"negative-clamped", 10, -0.5, 0},
 		{"zero", 10, 0, 0},
 		{"one", 10, 1, 10},
