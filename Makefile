@@ -4,7 +4,8 @@
 #                     reachable), build, race-enabled tests (incl. the
 #                     federation fault-tolerance suite and the simulator
 #                     invariant harness), the determinism goldens at
-#                     -cpu 1,2,4, one iteration of each perf
+#                     -cpu 1,2,4 (plus the tanh kernel at GOAMD64=v3),
+#                     one iteration of each perf
 #                     microbenchmark, a 20-VM cluster-scale smoke, a
 #                     /metrics endpoint smoke test, and a 16-client
 #                     async-federation chaos smoke
@@ -67,10 +68,20 @@ test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 
 # The bit-identity and determinism goldens at several core counts: results
-# must not depend on GOMAXPROCS.
+# must not depend on GOMAXPROCS. The AVX-512 tanh kernel copies math.tanh's
+# polynomial as this toolchain compiles it, unfused; the second line rebuilds
+# with GOAMD64=v3, where the compiler may fuse multiply-adds, so a toolchain
+# that starts fusing turns this red instead of silently moving the goldens.
+# It needs an AVX-512 CPU and is skipped elsewhere.
 golden:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Golden|BitIdentical|Equivalence|MatchesReference|Determinism' \
 		./internal/core ./internal/fed ./internal/fedcore ./internal/rl ./internal/workload
+	@if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then \
+		echo "GOAMD64=v3 $(GO) test -count=1 -run TestTanhIntoBitIdentical ./internal/tensor"; \
+		GOAMD64=v3 $(GO) test -count=1 -run TestTanhIntoBitIdentical ./internal/tensor; \
+	else \
+		echo "golden: no avx512f in /proc/cpuinfo, skipping the GOAMD64=v3 tanh check"; \
+	fi
 
 # Short deterministic-budget run of every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one run per target).
@@ -82,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzStreamInject -fuzztime 10s ./internal/cloudsim
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/fedcore
+	$(GO) test -run '^$$' -fuzz FuzzTanhInto -fuzztime 10s ./internal/tensor
 
 # One iteration of each microbenchmark: catches panics/regressions in the
 # bench harness itself without paying for a full measurement run.
@@ -110,7 +122,7 @@ bench:
 	$(GO) test ./internal/cloudsim/ -run xxx -bench 'BenchmarkEnvStep|BenchmarkObserve|BenchmarkEpisode' -benchmem
 
 perf:
-	$(GO) run ./cmd/pfrl-bench -exp perf -benchdir .
+	$(GO) run -buildvcs=true ./cmd/pfrl-bench -exp perf -benchdir .
 
 # Cluster-scale sweep smoke for ci: the 20-VM configuration only, with the
 # artifact routed to a scratch directory so the committed full-sweep
@@ -120,7 +132,7 @@ scale-smoke:
 
 # The full 20/500/5000-VM sweep, regenerating BENCH_ClusterScale.json.
 scale:
-	$(GO) run ./cmd/pfrl-bench -exp scale -benchdir .
+	$(GO) run -buildvcs=true ./cmd/pfrl-bench -exp scale -benchdir .
 
 # Workload-spec engine smoke for ci: a tiny spec-driven episode must run end
 # to end with the per-SLO-class breakdown. The presets themselves are pinned

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -321,17 +325,72 @@ func (bc benchConfig) writeBenchJSON(res benchResult) {
 	bc.writeJSON("BENCH_"+res.Name+".json", res)
 }
 
-// writeJSON marshals v into -benchdir under the given filename.
+// benchHost is the header every BENCH_*.json carries, so each number can be
+// traced to the machine, toolchain and commit that produced it. The VCS
+// fields come from the binary's build info, which `go build` stamps but
+// `go run` does only with -buildvcs=true (as `make perf` passes).
+type benchHost struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Revision   string `json:"vcs_revision"`
+	Modified   bool   `json:"vcs_modified"`
+}
+
+func readBenchHost() benchHost {
+	h := benchHost{
+		CPU:        "unknown",
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Revision:   "unknown",
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				h.Revision = s.Value
+			case "vcs.modified":
+				h.Modified = s.Value == "true"
+			}
+		}
+	}
+	return h
+}
+
+// writeJSON marshals v into -benchdir under the given filename, with the
+// benchHost header spliced in as the object's first member.
 func (bc benchConfig) writeJSON(filename string, v any) {
 	if bc.benchDir == "" {
 		return
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
+	host, err := json.Marshal(readBenchHost())
 	if err != nil {
 		log.Fatal(err)
 	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(body) < 3 || body[0] != '{' {
+		log.Fatalf("%s: result must be a non-empty JSON object, got %s", filename, body)
+	}
+	var data bytes.Buffer
+	withHost := append(append([]byte(`{"host":`), host...), ',')
+	if err := json.Indent(&data, append(withHost, body[1:]...), "", "  "); err != nil {
+		log.Fatal(err)
+	}
 	path := filepath.Join(bc.benchDir, filename)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(data.Bytes(), '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("(wrote %s)\n", path)

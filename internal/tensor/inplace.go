@@ -87,6 +87,26 @@ func (m *Matrix) ScaleInto(s float64, dst *Matrix) *Matrix {
 	return dst
 }
 
+// TanhInto sets dst = tanh(m) elementwise and returns dst; dst may be m.
+// Every element is bitwise identical to math.Tanh: with AVX-512 and FMA the
+// 8-aligned prefix goes through tanhCols, which transcribes the library
+// routine, and the tail (or everything, without the fast path) calls
+// math.Tanh itself.
+func (m *Matrix) TanhInto(dst *Matrix) *Matrix {
+	dst.assertShape(m.Rows, m.Cols, "TanhInto")
+	i := 0
+	if simdEnabled && hasFMA {
+		if n8 := len(m.Data) &^ 7; n8 > 0 {
+			tanhCols(&dst.Data[0], &m.Data[0], n8)
+			i = n8
+		}
+	}
+	for ; i < len(m.Data); i++ {
+		dst.Data[i] = math.Tanh(m.Data[i])
+	}
+	return dst
+}
+
 // ApplyInto sets dst = f(m) elementwise and returns dst.
 func (m *Matrix) ApplyInto(f func(float64) float64, dst *Matrix) *Matrix {
 	dst.assertShape(m.Rows, m.Cols, "ApplyInto")

@@ -32,7 +32,8 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	bitwiseEqual(t, "SubInto", a.SubInto(b, dst()), a.Sub(b))
 	bitwiseEqual(t, "MulElemInto", a.MulElemInto(b, dst()), a.MulElem(b))
 	bitwiseEqual(t, "ScaleInto", a.ScaleInto(3.7, dst()), a.Scale(3.7))
-	bitwiseEqual(t, "ApplyInto", a.ApplyInto(math.Tanh, dst()), a.Apply(math.Tanh))
+	bitwiseEqual(t, "ApplyInto", a.ApplyInto(math.Sin, dst()), a.Apply(math.Sin))
+	bitwiseEqual(t, "TanhInto", a.TanhInto(dst()), a.Apply(math.Tanh))
 	bitwiseEqual(t, "AddRowBroadcastInto", a.AddRowBroadcastInto(bias, dst()), a.AddRowBroadcast(bias))
 	bitwiseEqual(t, "SumRowsInto", a.SumRowsInto(New(6, 1)), a.SumRows())
 	bitwiseEqual(t, "SumColsInto", a.SumColsInto(New(1, 9)), a.SumCols())
@@ -52,7 +53,8 @@ func TestIntoVariantsAllowAliasedDst(t *testing.T) {
 	check("ScaleInto aliased", func(m *Matrix) *Matrix { return m.ScaleInto(2, m) }, src.Scale(2))
 	check("SoftmaxRowsInto aliased", func(m *Matrix) *Matrix { return m.SoftmaxRowsInto(m) }, src.SoftmaxRows())
 	check("LogSoftmaxRowsInto aliased", func(m *Matrix) *Matrix { return m.LogSoftmaxRowsInto(m) }, src.LogSoftmaxRows())
-	check("ApplyInto aliased", func(m *Matrix) *Matrix { return m.ApplyInto(math.Tanh, m) }, src.Apply(math.Tanh))
+	check("ApplyInto aliased", func(m *Matrix) *Matrix { return m.ApplyInto(math.Sin, m) }, src.Apply(math.Sin))
+	check("TanhInto aliased", func(m *Matrix) *Matrix { return m.TanhInto(m) }, src.Apply(math.Tanh))
 }
 
 // naiveMatMul is an independent triple-loop reference for the matmul family.

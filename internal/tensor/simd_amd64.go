@@ -12,6 +12,12 @@ package tensor
 // SIMD kernels are bitwise identical to the scalar kernels (pinned by
 // TestAxpySIMDMatchesScalar and friends), so enabling them never changes a
 // training run.
+//
+// The one exception to "never FMA" is tanhCols. Its reference is not a Go
+// loop but math.Tanh, whose amd64 math.Exp (archExp) itself uses FMA when
+// the CPU has it. tanhCols fuses exactly where archExp fuses and nowhere
+// else, which is what makes it bit-identical to the library; it is gated on
+// the same CPU test (hasFMA) so it never runs where archExp would not fuse.
 
 // simdEnabled gates all assembly fast paths. It is true when the CPU and OS
 // support AVX-512F. Tests flip it via setSIMD to compare both paths.
@@ -28,6 +34,15 @@ func setSIMD(on bool) bool {
 
 // SIMDEnabled reports whether the AVX-512 fast paths are active.
 func SIMDEnabled() bool { return simdEnabled }
+
+// hasFMA mirrors the math package's choice of its FMA exp path
+// (useFMA = HasAVX && HasFMA). tanhCols transcribes that path, so it may run
+// only where math.Exp would take it too.
+var hasFMA = x86HasFMA()
+
+// x86HasFMA reports CPU + OS support for AVX and FMA, exactly as the math
+// package's useFMA does.
+func x86HasFMA() bool
 
 // x86HasAVX512 reports CPU + OS support for AVX-512F (CPUID leaf 7 EBX bit
 // 16, with OSXSAVE and XCR0 opmask/ZMM state enabled).
@@ -64,3 +79,10 @@ func tanhGradCols(dst, grad, y *float64, n int)
 //
 //go:noescape
 func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+
+// tanhCols sets dst[0:n] = math.Tanh(src[0:n]) for n a positive multiple of
+// 8, bitwise identical to the library: it transcribes math.tanh with the
+// FMA path of the amd64 math.Exp. It may run only when hasFMA is true.
+//
+//go:noescape
+func tanhCols(dst, src *float64, n int)

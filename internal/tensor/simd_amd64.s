@@ -28,6 +28,29 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func x86HasFMA() bool
+//
+// The same test the math package makes for its FMA path
+// (useFMA = HasAVX && HasFMA): CPUID.1:ECX FMA (bit 12), AVX (bit 28) and
+// OSXSAVE (bit 27), with the OS saving XMM and YMM state (XCR0 bits 1,2).
+TEXT ·x86HasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $((1<<12)|(1<<27)|(1<<28)), CX
+	CMPL CX, $((1<<12)|(1<<27)|(1<<28))
+	JNE  noFMA
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noFMA
+	MOVB $1, ret+0(FP)
+	RET
+noFMA:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func axpyCols(dst, b, s *float64, k, cols, bStride, sStride int)
 //
 // for t in [0,k): dst[0:cols] += s[t*sStride] * b[t*bStride : +cols]
@@ -369,5 +392,159 @@ adamLoop:
 	JMP  adamLoop
 
 adamDone:
+	VZEROUPPER
+	RET
+
+// Constants for tanhCols. The exp block is archExp's exprodata table and
+// #defines from the Go math package (math/exp_amd64.s), copied literally so
+// the assembler parses the same decimals to the same bits. The rational
+// polynomial is tanhP/tanhQ from math/tanh.go, given as bit patterns.
+DATA tanhdata<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF   // |x| mask
+DATA tanhdata<>+8(SB)/8, $0.625                // polynomial / exp band edge
+DATA tanhdata<>+16(SB)/8, $0x404601E678FC457B  // 0.5*MAXLOG = 44.0148...
+DATA tanhdata<>+24(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
+DATA tanhdata<>+32(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA tanhdata<>+40(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA tanhdata<>+48(SB)/8, $0.0625
+DATA tanhdata<>+56(SB)/8, $2.4801587301587301587e-5
+DATA tanhdata<>+64(SB)/8, $1.9841269841269841270e-4
+DATA tanhdata<>+72(SB)/8, $1.3888888888888888889e-3
+DATA tanhdata<>+80(SB)/8, $8.3333333333333333333e-3
+DATA tanhdata<>+88(SB)/8, $4.1666666666666666667e-2
+DATA tanhdata<>+96(SB)/8, $1.6666666666666666667e-1
+DATA tanhdata<>+104(SB)/8, $0.5
+DATA tanhdata<>+112(SB)/8, $1.0
+DATA tanhdata<>+120(SB)/8, $2.0
+DATA tanhdata<>+128(SB)/8, $0x3FF               // exponent bias (int64)
+DATA tanhdata<>+136(SB)/8, $0xBFEEDC5BAAFD6F4B  // tanhP[0] = -9.64399179425052238628e-1
+DATA tanhdata<>+144(SB)/8, $0xC058D26A0E26682D  // tanhP[1] = -9.92877231001918586564e1
+DATA tanhdata<>+152(SB)/8, $0xC0993AC030580563  // tanhP[2] = -1.61468768441708447952e3
+DATA tanhdata<>+160(SB)/8, $0x405C33F28A581B86  // tanhQ[0] = 1.12811678491632931402e2
+DATA tanhdata<>+168(SB)/8, $0x40A176FA0E5535FA  // tanhQ[1] = 2.23548839060100448583e3
+DATA tanhdata<>+176(SB)/8, $0x40B2EC102442040C  // tanhQ[2] = 4.84406305325125486048e3
+GLOBL tanhdata<>(SB), RODATA, $184
+
+#define TANH_ABS tanhdata<>+0(SB)
+#define TANH_EDGE tanhdata<>+8(SB)
+#define TANH_SAT tanhdata<>+16(SB)
+#define EXP_LOG2E tanhdata<>+24(SB)
+#define EXP_LN2U tanhdata<>+32(SB)
+#define EXP_LN2L tanhdata<>+40(SB)
+#define EXP_SIXTEENTH tanhdata<>+48(SB)
+#define EXP_C8 tanhdata<>+56(SB)
+#define EXP_C7 tanhdata<>+64(SB)
+#define EXP_C6 tanhdata<>+72(SB)
+#define EXP_C5 tanhdata<>+80(SB)
+#define EXP_C4 tanhdata<>+88(SB)
+#define EXP_C3 tanhdata<>+96(SB)
+#define EXP_HALF tanhdata<>+104(SB)
+#define ONE tanhdata<>+112(SB)
+#define TWO tanhdata<>+120(SB)
+#define EXP_BIAS tanhdata<>+128(SB)
+#define TANH_P0 tanhdata<>+136(SB)
+#define TANH_P1 tanhdata<>+144(SB)
+#define TANH_P2 tanhdata<>+152(SB)
+#define TANH_Q0 tanhdata<>+160(SB)
+#define TANH_Q1 tanhdata<>+168(SB)
+#define TANH_Q2 tanhdata<>+176(SB)
+
+// func tanhCols(dst, src *float64, n int)
+//
+// dst[0:n] = math.Tanh(src[0:n]), n a positive multiple of 8, bit for bit.
+// Each lane evaluates both branches of math.tanh and blends them:
+//
+//	|x| < 0.625:               x + x*s*P(s)/Q(s), s = x*x (unfused, as compiled)
+//	0.625 ≤ |x| ≤ 0.5*MAXLOG:  ±(1 - 2/(e+1)), e = archExp(2|x|) (FMA path)
+//	|x| > 0.5*MAXLOG:          ±1 (and ±Inf)
+//	x = ±0:                    x
+//
+// The exp transcription is the useFMA path of math.archExp op for op:
+// round-to-nearest-even k = cvt(t*LOG2E), two fused ln2 reductions, the
+// 7-term FMA Taylor chain on t/16, four rounds of squaring via add-2/mul
+// (the last one fused with +1), then ×2^k through an int64 exponent add.
+// In the exp band 2|x| ∈ [1.25, 88.03], so k+bias never leaves the normal
+// range and archExp's overflow, denormal and non-finite branches never fire.
+// Lanes outside the band feed the exp chain a zero instead of 2|x|, so a
+// subnormal input cannot trigger denormal microcode assists there, and the
+// value they compute is blended away. Both branches divide, so numerator and
+// denominator are blended first and each lane runs the one VDIVPD its scalar
+// branch would.
+TEXT ·tanhCols(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ R12, R12
+
+tanhLoop:
+	TESTQ CX, CX
+	JZ    tanhColsDone
+	VMOVUPD (SI)(R12*1), Z0                   // x
+	VPANDQ.BCST TANH_ABS, Z0, Z1              // z = |x|
+	VCMPPD.BCST $0x1D, TANH_EDGE, Z1, K1      // K1: z >= 0.625 (GE_OQ)
+	VCMPPD.BCST $0x1E, TANH_SAT, Z1, K2       // K2: z > 0.5*MAXLOG (GT_OQ)
+	VPTESTNMQ Z1, Z1, K3                      // K3: x == ±0
+	VPXORQ Z1, Z0, Z8                         // sign bit of x
+
+	// e = archExp(2z)
+	VADDPD.Z Z1, Z1, K1, Z2                   // t = 2z (exact); 0 outside the band
+	VMULPD.BCST EXP_LOG2E, Z2, Z3
+	VCVTPD2DQ Z3, Y3                          // k, MXCSR round-to-nearest-even
+	VCVTDQ2PD Y3, Z4                          // float64(k)
+	VFNMADD231PD.BCST EXP_LN2U, Z4, Z2        // t -= k*LN2U (fused)
+	VFNMADD231PD.BCST EXP_LN2L, Z4, Z2        // t -= k*LN2L (fused)
+	VMULPD.BCST EXP_SIXTEENTH, Z2, Z2         // r = t/16
+	VBROADCASTSD EXP_C8, Z4
+	VFMADD213PD.BCST EXP_C7, Z2, Z4
+	VFMADD213PD.BCST EXP_C6, Z2, Z4
+	VFMADD213PD.BCST EXP_C5, Z2, Z4
+	VFMADD213PD.BCST EXP_C4, Z2, Z4
+	VFMADD213PD.BCST EXP_C3, Z2, Z4
+	VFMADD213PD.BCST EXP_HALF, Z2, Z4
+	VFMADD213PD.BCST ONE, Z2, Z4
+	VMULPD Z4, Z2, Z2
+	VADDPD.BCST TWO, Z2, Z4
+	VMULPD Z4, Z2, Z2
+	VADDPD.BCST TWO, Z2, Z4
+	VMULPD Z4, Z2, Z2
+	VADDPD.BCST TWO, Z2, Z4
+	VMULPD Z4, Z2, Z2
+	VADDPD.BCST TWO, Z2, Z4
+	VFMADD213PD.BCST ONE, Z4, Z2              // r = (r+2)*r + 1
+	VPMOVSXDQ Y3, Z3
+	VPADDQ.BCST EXP_BIAS, Z3, Z3
+	VPSLLQ $52, Z3, Z3                        // 2^k
+	VMULPD Z3, Z2, Z2                         // e
+	VADDPD.BCST ONE, Z2, Z2                   // e+1
+
+	// x*s*P(s) and Q(s), s = x*x
+	VMULPD Z0, Z0, Z5                         // s
+	VMULPD.BCST TANH_P0, Z5, Z6
+	VADDPD.BCST TANH_P1, Z6, Z6
+	VMULPD Z5, Z6, Z6
+	VADDPD.BCST TANH_P2, Z6, Z6               // P(s)
+	VADDPD.BCST TANH_Q0, Z5, Z7
+	VMULPD Z5, Z7, Z7
+	VADDPD.BCST TANH_Q1, Z7, Z7
+	VMULPD Z5, Z7, Z7
+	VADDPD.BCST TANH_Q2, Z7, Z7               // Q(s)
+	VMULPD Z5, Z0, Z5                         // x*s
+	VMULPD Z6, Z5, Z5                         // x*s*P(s)
+
+	// One division per lane: K1 lanes take 2/(e+1), the rest P/Q.
+	VBROADCASTSD TWO, K1, Z5
+	VMOVAPD Z2, K1, Z7
+	VDIVPD Z7, Z5, Z5                         // q
+	VADDPD Z5, Z0, Z6                         // x + q
+	VBROADCASTSD ONE, Z7
+	VSUBPD Z5, Z7, Z7                         // 1 - q
+	VPORQ Z8, Z7, K1, Z6                      // ±(1 - q)
+	VPORQ.BCST ONE, Z8, K2, Z6                // ±1
+	VMOVAPD Z0, K3, Z6                        // ±0
+	VMOVUPD Z6, (DI)(R12*1)
+	ADDQ $64, R12
+	SUBQ $8, CX
+	JMP  tanhLoop
+
+tanhColsDone:
 	VZEROUPPER
 	RET

@@ -2,11 +2,15 @@
 
 package tensor
 
+import "math"
+
 // Non-amd64 builds have no SIMD fast path; the portable scalar kernels are
 // always used. These stubs keep the call sites compiling and, as a safety
 // net, implement the same semantics in pure Go.
 
 var simdEnabled = false
+
+const hasFMA = false
 
 func setSIMD(bool) bool { return false }
 
@@ -46,4 +50,11 @@ func tanhGradCols(dst, grad, y *float64, n int) {
 
 func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
 	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), lr, beta1, beta2, eps, bc1, bc2)
+}
+
+func tanhCols(dst, src *float64, n int) {
+	d, sl := unsafeSlice(dst, n), unsafeSlice(src, n)
+	for i := range d {
+		d[i] = math.Tanh(sl[i])
+	}
 }

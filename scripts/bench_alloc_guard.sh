@@ -8,7 +8,9 @@
 #     scratch; the few remaining allocs are per-Update bookkeeping), and
 #   - BenchmarkFedAggregate must report 0 allocs/op (the federation data
 #     plane — codec encode/decode plus pooled aggregation — reuses encoder
-#     scratch and the payload arena every round).
+#     scratch and the payload arena every round), and
+#   - BenchmarkTanhInto must report 0 allocs/op (the hidden-layer activation,
+#     vector kernel and scalar fallback, writes into its destination).
 #
 # Every benchmark runs at -cpu 1,2,4: the budgets hold at any GOMAXPROCS,
 # not only on a single core.
@@ -50,9 +52,14 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 		-bench 'BenchmarkFedAggregate' \
 		-benchtime "$BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
 fi
+if [ "$MODE" = "all" ]; then
+	"$GO" test ./internal/tensor/ -run '^$' \
+		-bench 'BenchmarkTanhInto' \
+		-benchtime "$BENCHTIME" -cpu 1,2,4 -benchmem | tee -a "$out"
+fi
 
 awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
-/^Benchmark(EnvStep|RolloutStep|FedAggregate)/ {
+/^Benchmark(EnvStep|RolloutStep|FedAggregate|TanhInto)/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "allocs/op" && $(i-1) != "0") {
 			printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(i-1)
@@ -71,7 +78,7 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate/TanhInto allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep are allocation-free" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
 agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free" ;;
