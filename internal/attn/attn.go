@@ -137,7 +137,7 @@ func CosineWeights(embeddings [][]float64) [][]float64 {
 			scores.Set(i, j, dot/denom)
 		}
 	}
-	return toRows(scores.SoftmaxRows())
+	return toRows(scores.SoftmaxRowsInto(scores))
 }
 
 // KLWeights is the Figure-12 baseline: each embedding is turned into a
@@ -156,7 +156,7 @@ func KLWeights(embeddings [][]float64) [][]float64 {
 			scores.Set(i, j, -klDivergence(dists[i], dists[j]))
 		}
 	}
-	return toRows(scores.SoftmaxRows())
+	return toRows(scores.SoftmaxRowsInto(scores))
 }
 
 func checkEmbeddings(embeddings [][]float64) (k, dim int) {
@@ -182,7 +182,7 @@ func checkEmbeddings(embeddings [][]float64) (k, dim int) {
 func prepare(embeddings [][]float64, center bool) *tensor.Matrix {
 	x := tensor.FromRows(embeddings)
 	if center {
-		mean := x.SumCols().Scale(1 / float64(x.Rows))
+		mean := x.SumColsInto(tensor.New(1, x.Cols)).ScaleInPlace(1 / float64(x.Rows))
 		for i := 0; i < x.Rows; i++ {
 			row := x.Row(i)
 			for j := range row {

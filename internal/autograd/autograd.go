@@ -17,18 +17,16 @@
 //	loss := autograd.Mean(autograd.Square(autograd.Sub(y, target)))
 //	loss.Backward()                            // weightGrads now holds dLoss/dW
 //
-// Hot loops that rebuild the same graph repeatedly (the PPO minibatch
-// update) should use a pooled tape instead and Reset it between builds:
+// Every tape draws its forward results, gradients and backward temporaries
+// from a tensor.Pool and returns them on Reset. Hot loops that rebuild the
+// same graph repeatedly (the PPO minibatch update) keep one tape and Reset
+// it between builds, so steady-state graph construction allocates nothing:
 //
-//	tape := autograd.NewPooledTape(tensor.DefaultPool())
+//	tape := autograd.NewTape()
 //	for each minibatch {
 //		tape.Reset() // recycles nodes and matrices from the previous build
 //		... build graph, Backward, read results ...
 //	}
-//
-// A pooled tape draws every forward result, gradient, and backward
-// temporary from its tensor.Pool and returns them on Reset, so steady-state
-// graph construction allocates nothing.
 package autograd
 
 import (
@@ -57,11 +55,11 @@ type Value struct {
 	// opcode plus operands/auxiliary state in these pooled slots and
 	// Backward dispatches statically. Reset wipes them with the rest of the
 	// struct. Ops off the update hot path still use `back`.
-	op         opcode
-	srcA, srcB *Value
+	op                           opcode
+	srcA, srcB                   *Value
 	aux0, aux1, aux2, aux3, aux4 *tensor.Matrix
-	auxS0      float64
-	auxIdx     []int
+	auxS0                        float64
+	auxIdx                       []int
 }
 
 // Tape records operations for reverse-mode differentiation. A Tape is not
@@ -73,17 +71,16 @@ type Tape struct {
 	// scratch holds pooled matrices used by op internals (selection masks)
 	// that must stay live until Backward runs; Reset releases them.
 	scratch []*tensor.Matrix
-	// pool, when non-nil, supplies and recycles every tape-owned matrix.
+	// pool supplies and recycles every tape-owned matrix.
 	pool *tensor.Pool
 }
 
-// NewTape returns an empty, unpooled tape: every node and matrix is freshly
-// allocated and left to the garbage collector.
-func NewTape() *Tape { return &Tape{} }
+// NewTape returns an empty tape on the process-wide tensor.DefaultPool.
+func NewTape() *Tape { return NewPooledTape(tensor.DefaultPool()) }
 
 // NewPooledTape returns a tape that draws tape-owned matrices (op outputs,
 // gradients, backward temporaries) from pool and returns them on Reset.
-// Reusing one pooled tape across graph builds makes steady-state graph
+// Reusing one tape across graph builds makes steady-state graph
 // construction allocation-free.
 func NewPooledTape(pool *tensor.Pool) *Tape { return &Tape{pool: pool} }
 
@@ -97,42 +94,28 @@ func (t *Tape) Len() int { return len(t.nodes) }
 // be used afterwards.
 func (t *Tape) Reset() {
 	for _, v := range t.nodes {
-		if t.pool != nil {
-			if v.ownsData {
-				t.pool.Put(v.Data)
-			}
-			if v.ownsGrad && v.Grad != nil {
-				t.pool.Put(v.Grad)
-			}
+		if v.ownsData {
+			t.pool.Put(v.Data)
+		}
+		if v.ownsGrad {
+			t.pool.Put(v.Grad)
 		}
 		*v = Value{}
 		t.spare = append(t.spare, v)
 	}
 	t.nodes = t.nodes[:0]
-	if t.pool != nil {
-		for _, m := range t.scratch {
-			t.pool.Put(m)
-		}
+	for _, m := range t.scratch {
+		t.pool.Put(m)
 	}
 	t.scratch = t.scratch[:0]
 }
 
-// alloc returns a zeroed rows x cols matrix from the tape's pool (or a fresh
-// allocation for unpooled tapes).
-func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
-	if t.pool != nil {
-		return t.pool.Get(rows, cols)
-	}
-	return tensor.New(rows, cols)
-}
+// alloc returns a zeroed rows x cols matrix from the tape's pool.
+func (t *Tape) alloc(rows, cols int) *tensor.Matrix { return t.pool.Get(rows, cols) }
 
 // release returns a matrix obtained from alloc once no live node references
-// it (backward temporaries). Unpooled tapes leave it to the GC.
-func (t *Tape) release(m *tensor.Matrix) {
-	if t.pool != nil {
-		t.pool.Put(m)
-	}
-}
+// it (backward temporaries).
+func (t *Tape) release(m *tensor.Matrix) { t.pool.Put(m) }
 
 // allocScratch returns a pooled matrix that stays live until Reset — used by
 // ops that capture auxiliary state (selection masks) in backward closures.

@@ -71,12 +71,12 @@ func TestGradActivations(t *testing.T) {
 	checkGrad(t, "square", a, func(tp *Tape, x *Value) *Value { return Sum(Square(x)) })
 
 	// ReLU and Clamp need inputs away from their kinks for finite differences.
-	shifted := a.Apply(func(v float64) float64 {
+	shifted := a.ApplyInto(func(v float64) float64 {
 		if math.Abs(v) < 0.05 {
 			return v + 0.2
 		}
 		return v
-	})
+	}, tensor.New(3, 3))
 	checkGrad(t, "relu", shifted, func(tp *Tape, x *Value) *Value { return Sum(ReLU(x)) })
 	checkGrad(t, "clamp", shifted, func(tp *Tape, x *Value) *Value { return Sum(Clamp(x, -0.8, 0.8)) })
 }

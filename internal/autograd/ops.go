@@ -5,13 +5,11 @@ import (
 	"math"
 )
 
-// Every operator below allocates its forward result through the tape
-// (pool-backed for pooled tapes) and computes it with the tensor package's
-// in-place kernels, which are bitwise identical to the allocating ones.
-// Backward closures draw their temporaries from the tape as well and release
-// them as soon as the gradient has been accumulated, so a pooled tape's
-// backward pass recycles a handful of scratch matrices instead of allocating
-// per node.
+// Every operator below allocates its forward result from the tape's pool
+// and computes it with the tensor package's Into kernels. Backward closures
+// draw their temporaries from the tape as well and release them as soon as
+// the gradient has been accumulated, so a backward pass recycles a handful
+// of scratch matrices instead of allocating per node.
 
 // MatMul returns a·b with gradients da += g·bᵀ and db += aᵀ·g.
 func MatMul(a, b *Value) *Value {

@@ -34,9 +34,8 @@ func buildLoss(tape *Tape, x, w1, b1, w2, b2 *tensor.Matrix, g1, gb1, g2, gb2 *t
 }
 
 // TestPooledTapeResetMatchesFreshTapes asserts the core pooled-tape
-// guarantee: rebuilding a graph on a Reset pooled tape produces bitwise
-// identical losses and gradients to building it on a fresh unpooled tape
-// every time.
+// guarantee: rebuilding a graph on a Reset tape produces bitwise identical
+// losses and gradients to building it on a fresh tape every time.
 func TestPooledTapeResetMatchesFreshTapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const batch, in, hid, out = 7, 11, 16, 5

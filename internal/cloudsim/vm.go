@@ -74,12 +74,6 @@ type VM struct {
 	rem  [NumResources]float64
 }
 
-func newVM(spec VMSpec) *VM {
-	v := &VM{}
-	v.reset(spec, 1)
-	return v
-}
-
 // reset restores the VM to an empty machine with the given capacity under
 // the given oversubscription ratio, reusing every internal buffer it
 // already owns.

@@ -14,18 +14,15 @@ import (
 // strategies (FedAvg, MFPO momentum, PFRL-DM attention, static weights).
 type Aggregator = fedcore.Aggregator
 
-// meanPayload is the allocating mean used by the legacy Aggregate paths and
-// SecureFedAvg. It reduces through fedcore.ReduceMeanInto, so its
-// accumulation order — and therefore its bits — match the pooled fast path
-// exactly.
-func meanPayload(uploads []Payload) Payload {
-	if len(uploads) == 0 {
-		panic("fed: aggregate of zero uploads")
-	}
-	out := make(Payload, len(uploads[0]))
-	fedcore.ReduceMeanInto(out, uploads)
-	return out
-}
+// Every aggregator here computes on the pooled path; its Aggregate is the
+// same computation detached into caller-owned copies.
+var (
+	_ fedcore.IntoAggregator = FedAvg{}
+	_ fedcore.IntoAggregator = (*Momentum)(nil)
+	_ fedcore.IntoAggregator = (*Attention)(nil)
+	_ fedcore.IntoAggregator = StaticWeights{}
+	_ fedcore.IntoAggregator = (*SecureFedAvg)(nil)
+)
 
 // FedAvg is the classic parameter-averaging aggregator (McMahan et al.):
 // every participant receives the same global mean.
@@ -35,14 +32,7 @@ type FedAvg struct{}
 func (FedAvg) Name() string { return "FedAvg" }
 
 // Aggregate implements Aggregator.
-func (FedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	global := meanPayload(uploads)
-	personalized := make([]Payload, len(uploads))
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), global...)
-	}
-	return personalized, global
-}
+func (f FedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) { return fedcore.Detach(f, uploads) }
 
 // AggregateInto implements fedcore.IntoAggregator: the mean reduces into the
 // arena's global buffer and every personalized view aliases it — FedAvg
@@ -79,13 +69,7 @@ func (*Momentum) Name() string { return "MFPO" }
 
 // Aggregate implements Aggregator.
 func (m *Momentum) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	mean := meanPayload(uploads)
-	m.step(mean)
-	personalized := make([]Payload, len(uploads))
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), m.global...)
-	}
-	return personalized, append(Payload(nil), m.global...)
+	return fedcore.Detach(m, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator. The mean reduces into the
@@ -142,25 +126,14 @@ func (*Attention) Name() string { return "PFRL-DM" }
 
 // Aggregate implements Aggregator.
 func (a *Attention) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	w := a.Gen.Weights(uploads)
-	a.LastWeights = w
-	k := len(uploads)
-	dim := len(uploads[0])
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = make(Payload, dim)
-	}
-	fedcore.WeightedMixInto(personalized, w, uploads)
-	// Eq. (22): ψ_G = mean of the personalized models.
-	global := meanPayload(personalized)
-	return personalized, global
+	return fedcore.Detach(a, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator: the Eq. 21 mix writes
-// into arena-carved views and the Eq. 22 mean into the arena global. The
-// attention weight computation itself still allocates (it is O(K²·heads),
-// negligible next to the O(K·dim) data plane). Results are valid until the
-// arena's next round.
+// into arena-carved views and the Eq. 22 mean (ψ_G = mean of the
+// personalized models) into the arena global. The attention weight
+// computation itself still allocates (it is O(K²·heads), negligible next to
+// the O(K·dim) data plane). Results are valid until the arena's next round.
 func (a *Attention) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	w := a.Gen.Weights(uploads)
 	a.LastWeights = w
@@ -187,17 +160,7 @@ func (StaticWeights) Name() string { return "static-weights" }
 
 // Aggregate implements Aggregator.
 func (s StaticWeights) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	k := len(uploads)
-	if len(s.W) != k {
-		panic(fmt.Sprintf("fed: static weight matrix is %dx? for %d uploads", len(s.W), k))
-	}
-	dim := len(uploads[0])
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = make(Payload, dim)
-	}
-	fedcore.WeightedMixInto(personalized, s.W, uploads)
-	return personalized, meanPayload(personalized)
+	return fedcore.Detach(s, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator with the same arena-backed

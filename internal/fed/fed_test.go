@@ -13,7 +13,7 @@ import (
 )
 
 func TestMeanPayload(t *testing.T) {
-	got := meanPayload([]Payload{{1, 2}, {3, 4}})
+	_, got := FedAvg{}.Aggregate([]Payload{{1, 2}, {3, 4}})
 	if got[0] != 2 || got[1] != 3 {
 		t.Fatalf("mean %v", got)
 	}
@@ -27,7 +27,7 @@ func TestMeanPayloadPanics(t *testing.T) {
 					t.Fatal("expected panic")
 				}
 			}()
-			meanPayload(uploads)
+			FedAvg{}.Aggregate(uploads)
 		}()
 	}
 }

@@ -1,6 +1,10 @@
 package fed
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/fedcore"
+)
 
 // SecureFedAvg simulates pairwise-masked secure aggregation (Bonawitz et
 // al., CCS 2017) on top of plain averaging: every pair of participants
@@ -23,8 +27,9 @@ type SecureFedAvg struct {
 	// carry no usable signal).
 	MaskScale float64
 
-	// LastMasked retains the most recent masked uploads for inspection and
-	// tests (a real deployment would never expose these anywhere else).
+	// LastMasked holds the most recent masked uploads for inspection and
+	// tests (a real deployment would never expose these anywhere else). Its
+	// buffers are reused, so each round overwrites the previous one.
 	LastMasked []Payload
 }
 
@@ -36,10 +41,17 @@ func NewSecureFedAvg(seed int64) *SecureFedAvg {
 // Name implements Aggregator.
 func (*SecureFedAvg) Name() string { return "secure-fedavg" }
 
-// Aggregate implements Aggregator: it masks each upload with the pairwise
-// streams (simulating what the clients would send), averages the masked
-// payloads, and returns the same global to every participant.
+// Aggregate implements Aggregator.
 func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
+	return fedcore.Detach(s, uploads)
+}
+
+// AggregateInto implements fedcore.IntoAggregator: it masks each upload with
+// the pairwise streams (simulating what the clients would send), averages
+// the masked payloads into the arena global, and hands every participant a
+// view of it. The masked uploads live in LastMasked, not in the arena, whose
+// Payloads and Alias share one view slice.
+func (s *SecureFedAvg) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	k := len(uploads)
 	if k == 0 {
 		panic("fed: aggregate of zero uploads")
@@ -50,9 +62,12 @@ func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 		scale = 10
 	}
 
-	masked := make([]Payload, k)
-	for i := range masked {
-		masked[i] = append(Payload(nil), uploads[i]...)
+	if n := cap(s.LastMasked); n < k {
+		s.LastMasked = append(s.LastMasked[:n], make([]Payload, k-n)...)
+	}
+	masked := s.LastMasked[:k]
+	for i, u := range uploads {
+		masked[i] = append(masked[i][:0], u...)
 	}
 	// Pairwise masks: client i adds, client j (> i) subtracts.
 	for i := 0; i < k; i++ {
@@ -68,10 +83,7 @@ func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	s.LastMasked = masked
 
 	// The server only ever touches the masked payloads.
-	global := meanPayload(masked)
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), global...)
-	}
-	return personalized, global
+	global := arena.Global(dim)
+	fedcore.ReduceMeanInto(global, masked)
+	return arena.Alias(k, global), global
 }

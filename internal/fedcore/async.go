@@ -184,13 +184,6 @@ func (a *AsyncEngine) Buffer() int {
 	return a.buffer
 }
 
-// StalenessBound returns the configured bound (negative = unbounded).
-func (a *AsyncEngine) StalenessBound() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.bound
-}
-
 // Join applies the shared late-join/resync policy and clears the joiner's
 // dedup state, so a restarted client reusing its id is not blocked by the
 // sequence numbers of its previous life.

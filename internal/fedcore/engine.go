@@ -51,10 +51,25 @@ type Aggregator interface {
 // steady-state round allocates nothing. The returned slices are valid only
 // until the arena's next use; callers that retain them must copy. The
 // engine prefers this path when an aggregator provides it (all of
-// internal/fed's strategies do) and falls back to Aggregate otherwise.
+// internal/fed's strategies do, and derive Aggregate from it via Detach)
+// and falls back to Aggregate otherwise.
 type IntoAggregator interface {
 	Aggregator
 	AggregateInto(uploads []Payload, arena *PayloadArena) (personalized []Payload, global Payload)
+}
+
+// Detach runs agg.AggregateInto on a private arena and returns copies the
+// caller owns. The copies matter: AggregateInto's views may all alias one
+// buffer (FedAvg) or the aggregator's own state (momentum), which a later
+// round rewrites.
+func Detach(agg IntoAggregator, uploads []Payload) (personalized []Payload, global Payload) {
+	var arena PayloadArena
+	views, g := agg.AggregateInto(uploads, &arena)
+	personalized = make([]Payload, len(views))
+	for i, v := range views {
+		personalized[i] = append(Payload(nil), v...)
+	}
+	return personalized, append(Payload(nil), g...)
 }
 
 // AggregatePartialInto runs one aggregation over however many uploads

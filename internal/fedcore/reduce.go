@@ -3,7 +3,7 @@ package fedcore
 import "fmt"
 
 // checkUploads validates a reduce's inputs: at least one upload, all of the
-// expected length. Mirrors the seed-era meanPayload panics.
+// expected length.
 func checkUploads(uploads []Payload, dim int) {
 	if len(uploads) == 0 {
 		panic("fedcore: aggregate of zero uploads")

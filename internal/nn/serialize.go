@@ -1,26 +1,6 @@
 package nn
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math/rand"
-	"os"
-)
-
-// zeroRand returns a deterministic RNG for constructions whose random
-// values are immediately overwritten.
-func zeroRand() *rand.Rand { return rand.New(rand.NewSource(0)) }
-
-// mlpCheckpoint is the on-disk representation of an MLP.
-type mlpCheckpoint struct {
-	Format     string    `json:"format"`
-	Sizes      []int     `json:"sizes"`
-	Activation string    `json:"activation"`
-	Params     []float64 `json:"params"`
-}
-
-const checkpointFormat = "pfrl-dm/mlp/v1"
+import "fmt"
 
 // Limits on checkpoint-declared architectures. A malformed (or hostile)
 // checkpoint must fail fast with an error — never panic inside NewMLP or
@@ -53,75 +33,4 @@ func CheckSizes(sizes []int) (int, error) {
 		return 0, fmt.Errorf("nn: architecture declares %d params, cap %d", total, MaxCheckpointParams)
 	}
 	return int(total), nil
-}
-
-// SaveMLP writes the network's architecture and weights as JSON.
-func SaveMLP(w io.Writer, m *MLP) error {
-	ck := mlpCheckpoint{
-		Format:     checkpointFormat,
-		Sizes:      m.Sizes(),
-		Activation: m.Act.String(),
-		Params:     FlattenParams(m),
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(ck)
-}
-
-// LoadMLP reads a checkpoint written by SaveMLP and reconstructs the MLP.
-func LoadMLP(r io.Reader) (*MLP, error) {
-	var ck mlpCheckpoint
-	if err := json.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
-	if ck.Format != checkpointFormat {
-		return nil, fmt.Errorf("nn: unknown checkpoint format %q", ck.Format)
-	}
-	want, err := CheckSizes(ck.Sizes)
-	if err != nil {
-		return nil, fmt.Errorf("nn: checkpoint: %w", err)
-	}
-	if len(ck.Params) != want {
-		return nil, fmt.Errorf("nn: checkpoint carries %d params, architecture needs %d", len(ck.Params), want)
-	}
-	var act Activation
-	switch ck.Activation {
-	case "tanh":
-		act = ActTanh
-	case "relu":
-		act = ActReLU
-	case "none":
-		act = ActNone
-	default:
-		return nil, fmt.Errorf("nn: unknown activation %q", ck.Activation)
-	}
-	// Initialization is irrelevant: weights are overwritten below. The
-	// zero-seeded RNG keeps construction deterministic.
-	m := NewMLP(zeroRand(), "loaded", ck.Sizes, act, 1.0)
-	if err := LoadFlatParams(m, ck.Params); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SaveMLPFile writes the checkpoint to path, creating or truncating it.
-func SaveMLPFile(path string, m *MLP) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveMLP(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadMLPFile reads a checkpoint from path.
-func LoadMLPFile(path string) (*MLP, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadMLP(f)
 }

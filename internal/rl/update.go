@@ -36,7 +36,7 @@ type updateScratch struct {
 // minibatch size and state dimension, allocating only on first use or growth.
 func (st *updateScratch) ensure(n, mb, stateDim int) {
 	if st.tape == nil {
-		st.tape = autograd.NewPooledTape(tensor.DefaultPool())
+		st.tape = autograd.NewTape()
 	}
 	if cap(st.idx) < n {
 		st.idx = make([]int, n)

@@ -5,11 +5,10 @@ import (
 	"math"
 )
 
-// This file holds the destination-passing ("Into") variants of the
-// allocating operations in tensor.go. Each computes exactly the same values
-// in exactly the same floating-point order as its allocating counterpart, so
-// results are bitwise identical — the property the pooled autograd tape and
-// the nn inference fast path rely on (and that the tests assert).
+// This file holds the destination-passing ("Into") kernels, the package's
+// only implementation of each elementwise, broadcast, reduction and softmax
+// operation. Their floating-point order is fixed: TestKernelDigestsGolden
+// pins every result bit against frozen digests.
 //
 // Unless documented otherwise, dst may alias the receiver or the operand:
 // every kernel below either reads src[i] strictly before writing dst[i], or

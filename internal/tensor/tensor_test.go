@@ -107,13 +107,13 @@ func TestCloneIndependence(t *testing.T) {
 func TestAddSubMulDiv(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	if got := a.Add(b); !got.ApproxEqual(FromSlice(2, 2, []float64{6, 8, 10, 12}), 0) {
+	if got := a.AddInto(b, New(2, 2)); !got.ApproxEqual(FromSlice(2, 2, []float64{6, 8, 10, 12}), 0) {
 		t.Fatalf("Add: %v", got)
 	}
-	if got := b.Sub(a); !got.ApproxEqual(Full(2, 2, 4), 0) {
+	if got := b.SubInto(a, New(2, 2)); !got.ApproxEqual(Full(2, 2, 4), 0) {
 		t.Fatalf("Sub: %v", got)
 	}
-	if got := a.MulElem(b); !got.ApproxEqual(FromSlice(2, 2, []float64{5, 12, 21, 32}), 0) {
+	if got := a.MulElemInto(b, New(2, 2)); !got.ApproxEqual(FromSlice(2, 2, []float64{5, 12, 21, 32}), 0) {
 		t.Fatalf("MulElem: %v", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	New(2, 2).Add(New(2, 3))
+	New(2, 2).AddInto(New(2, 3), New(2, 2))
 }
 
 func TestTranspose(t *testing.T) {
@@ -213,7 +213,7 @@ func TestAddRowBroadcast(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := RowVector([]float64{10, 20, 30})
 	want := FromSlice(2, 3, []float64{11, 22, 33, 14, 25, 36})
-	if got := m.AddRowBroadcast(b); !got.ApproxEqual(want, 0) {
+	if got := m.AddRowBroadcastInto(b, New(2, 3)); !got.ApproxEqual(want, 0) {
 		t.Fatalf("AddRowBroadcast: %v", got)
 	}
 }
@@ -229,10 +229,10 @@ func TestReductions(t *testing.T) {
 	if m.Max() != 6 || m.Min() != 1 {
 		t.Fatalf("Max/Min = %v/%v", m.Max(), m.Min())
 	}
-	if got := m.SumRows(); !got.ApproxEqual(ColVector([]float64{6, 15}), 0) {
+	if got := m.SumRowsInto(New(2, 1)); !got.ApproxEqual(ColVector([]float64{6, 15}), 0) {
 		t.Fatalf("SumRows: %v", got)
 	}
-	if got := m.SumCols(); !got.ApproxEqual(RowVector([]float64{5, 7, 9}), 0) {
+	if got := m.SumColsInto(New(1, 3)); !got.ApproxEqual(RowVector([]float64{5, 7, 9}), 0) {
 		t.Fatalf("SumCols: %v", got)
 	}
 }
@@ -256,7 +256,7 @@ func TestNormDot(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
-	s := m.SoftmaxRows()
+	s := m.SoftmaxRowsInto(New(2, 3))
 	for i := 0; i < 2; i++ {
 		sum := 0.0
 		for _, v := range s.Row(i) {
@@ -282,8 +282,8 @@ func TestSoftmaxRows(t *testing.T) {
 func TestLogSoftmaxRowsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := RandNormal(rng, 4, 7, 0, 3)
-	ls := m.LogSoftmaxRows()
-	sm := m.SoftmaxRows()
+	ls := m.LogSoftmaxRowsInto(New(4, 7))
+	sm := m.SoftmaxRowsInto(New(4, 7))
 	for i := range ls.Data {
 		if math.Abs(math.Exp(ls.Data[i])-sm.Data[i]) > 1e-10 {
 			t.Fatal("exp(logsoftmax) != softmax")
@@ -293,12 +293,12 @@ func TestLogSoftmaxRowsConsistent(t *testing.T) {
 
 func TestApplyAndScalar(t *testing.T) {
 	m := FromSlice(1, 3, []float64{1, 4, 9})
-	if got := m.Apply(math.Sqrt); !got.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
-		t.Fatalf("Apply: %v", got)
+	if got := m.ApplyInto(math.Sqrt, New(1, 3)); !got.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
+		t.Fatalf("ApplyInto: %v", got)
 	}
-	m.ApplyInPlace(func(v float64) float64 { return -v })
+	m.ApplyInto(func(v float64) float64 { return -v }, m)
 	if m.Data[0] != -1 {
-		t.Fatal("ApplyInPlace failed")
+		t.Fatal("ApplyInto in place failed")
 	}
 }
 
@@ -331,11 +331,14 @@ func randMatrixPair(r *rand.Rand) (*Matrix, *Matrix) {
 	return a, b
 }
 
+// add returns a + b in a fresh matrix.
+func add(a, b *Matrix) *Matrix { return a.AddInto(b, New(a.Rows, a.Cols)) }
+
 func TestPropAddCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randMatrixPair(r)
-		return a.Add(b).ApproxEqual(b.Add(a), 1e-9)
+		return add(a, b).ApproxEqual(add(b, a), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -361,8 +364,8 @@ func TestPropMatMulDistributes(t *testing.T) {
 		a := RandNormal(r, n, m, 0, 2)
 		b := RandNormal(r, m, p, 0, 2)
 		c := RandNormal(r, m, p, 0, 2)
-		lhs := a.MatMul(b.Add(c))
-		rhs := a.MatMul(b).Add(a.MatMul(c))
+		lhs := a.MatMul(add(b, c))
+		rhs := add(a.MatMul(b), a.MatMul(c))
 		return lhs.ApproxEqual(rhs, 1e-8)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -388,7 +391,7 @@ func TestPropSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, _ := randMatrixPair(r)
-		s := a.SoftmaxRows()
+		s := a.SoftmaxRowsInto(New(a.Rows, a.Cols))
 		for i := 0; i < s.Rows; i++ {
 			sum := 0.0
 			for _, v := range s.Row(i) {
@@ -412,8 +415,9 @@ func TestPropScaleLinear(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		a, b := randMatrixPair(r)
-		lhs := a.Add(b).Scale(s)
-		rhs := a.Scale(s).Add(b.Scale(s))
+		scale := func(m *Matrix) *Matrix { return m.ScaleInto(s, New(m.Rows, m.Cols)) }
+		lhs := scale(add(a, b))
+		rhs := add(scale(a), scale(b))
 		return lhs.ApproxEqual(rhs, 1e-6*(1+math.Abs(s)))
 	}
 	if err := quick.Check(f, nil); err != nil {

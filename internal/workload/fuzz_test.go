@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzCSVTrace feeds arbitrary bytes to the trace importer. Malformed
-// traces must produce an error — never a panic — and accepted traces must
-// survive an export/import round trip unchanged.
+// FuzzCSVTrace feeds arbitrary bytes to the trace importer, and through it
+// to the CSVStream reader it drains. Malformed traces must produce an error
+// — never a panic — and accepted traces must survive an export/import round
+// trip unchanged.
 func FuzzCSVTrace(f *testing.F) {
 	var buf bytes.Buffer
 	seed := []Task{
